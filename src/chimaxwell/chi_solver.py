@@ -22,10 +22,15 @@ structure the diagnostics are meant to exhibit, so they are only measured.
 Discretization: all spatial derivatives are exact Fourier multipliers on the
 periodic grid, so the discrete curl of the discrete gradient vanishes to
 machine precision ("rot grad = 0" survives discretization verbatim), and a
-plane wave propagates with no spatial dispersion error.  Time stepping is
-classical RK4 under the bound dt <= 0.5 dx / (c sqrt(dims)), which sits well
-inside the RK4 imaginary-axis stability interval for the largest grid
-wavenumber.  The system is linear, so no dealiasing is needed.
+plane wave propagates with no spatial dispersion error.  The state evolves
+as the spectra of the paper's variables psi = E - iB and complex chi, where
+dpsi/dt = i curl psi - grad chi is the operator of (E + S.p) psi = p chi.
+Time stepping is classical RK4 under the bound dt <= 0.5 dx / (c sqrt(dims)),
+which sits well inside the RK4 imaginary-axis stability interval for the
+largest grid wavenumber.  The operator acts bin by bin, so `run` takes the
+steps between two outputs as one multiply by a power of the RK4 stability
+polynomial (see _Propagator).  The system is linear, so no dealiasing is
+needed.
 
 Real chi is the default (no magnetic sources, div B stays zero); the
 imaginary part -- magnetic-source mode -- is enabled by chi_mode="complex".
@@ -44,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CFLViolation, InconsistentScenario
+from .errors import CFLViolation, ChiMaxwellError, InconsistentScenario
 from .planewaves import helicity_eigenvector
 
 __all__ = [
@@ -137,25 +142,14 @@ class SpectralSpace:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        n, dx = grid.n, grid.dx
-        kfull = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+        self.axes = tuple(range(-grid.dims, 0))
+        n = grid.n
+        kfull = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
         kfull[n // 2] = 0.0
-        khalf = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-        khalf[-1] = 0.0
-        if grid.dims == 3:
-            self.axes = (-3, -2, -1)
-            self.k = [
-                kfull.reshape(n, 1, 1),
-                kfull.reshape(1, n, 1),
-                khalf.reshape(1, 1, khalf.size),
-            ]
-        else:
-            self.axes = (-1,)
-            self.k = [np.zeros(1), np.zeros(1), khalf]
+        khalf = kfull[: n // 2 + 1]  # rfftfreq, with the Nyquist bin zeroed
+        self.k = ([kfull.reshape(n, 1, 1), kfull.reshape(1, n, 1), khalf.reshape(1, 1, -1)]
+                  if grid.dims == 3 else [np.zeros(1), np.zeros(1), khalf])
         self.k2 = self.k[0] ** 2 + self.k[1] ** 2 + self.k[2] ** 2
-        # cached multipliers for the stepping kernel
-        self.ik = [1j * self.k[a] for a in range(3)]
-        self.neg_c2k2 = -(C_LIGHT * C_LIGHT) * self.k2
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(f, axes=self.axes)
@@ -163,31 +157,19 @@ class SpectralSpace:
     def inv(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(fh, s=self.grid.shape, axes=self.axes)
 
-    def grad_h(self, fh: np.ndarray) -> list[np.ndarray]:
-        return [1j * self.k[a] * fh for a in range(3)]
-
-    def curl_h(self, vh) -> list[np.ndarray]:
-        k = self.k
-        return [
-            1j * (k[1] * vh[2] - k[2] * vh[1]),
-            1j * (k[2] * vh[0] - k[0] * vh[2]),
-            1j * (k[0] * vh[1] - k[1] * vh[0]),
-        ]
-
-    def div_h(self, vh) -> np.ndarray:
-        k = self.k
-        return 1j * (k[0] * vh[0] + k[1] * vh[1] + k[2] * vh[2])
-
     def grad(self, f: np.ndarray) -> np.ndarray:
         fh = self.fwd(f)
-        return np.stack([self.inv(g) for g in self.grad_h(fh)])
+        return np.stack([self.inv(1j * ka * fh) for ka in self.k])
 
     def div(self, v: np.ndarray) -> np.ndarray:
-        return self.inv(self.div_h([self.fwd(v[a]) for a in range(3)]))
+        k, vh = self.k, [self.fwd(v[a]) for a in range(3)]
+        return self.inv(1j * (k[0] * vh[0] + k[1] * vh[1] + k[2] * vh[2]))
 
     def curl(self, v: np.ndarray) -> np.ndarray:
-        vh = [self.fwd(v[a]) for a in range(3)]
-        return np.stack([self.inv(c) for c in self.curl_h(vh)])
+        k, vh = self.k, [self.fwd(v[a]) for a in range(3)]
+        return np.stack([self.inv(1j * (k[1] * vh[2] - k[2] * vh[1])),
+                         self.inv(1j * (k[2] * vh[0] - k[0] * vh[2])),
+                         self.inv(1j * (k[0] * vh[1] - k[1] * vh[0]))])
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self.inv(-self.k2 * self.fwd(f))
@@ -224,10 +206,10 @@ def _mode_kvec(grid: Grid, modes) -> np.ndarray:
     modes = np.atleast_1d(np.asarray(modes, dtype=np.float64))
     if grid.dims == 1:
         if modes.size != 1:
-            raise ValueError("1-D scenarios take a single integer mode number")
+            raise ChiMaxwellError("1-D scenarios take a single integer mode number")
         return np.array([0.0, 0.0, 2.0 * np.pi * modes[0] / grid.length])
     if modes.size != 3:
-        raise ValueError("3-D scenarios take three integer mode numbers")
+        raise ChiMaxwellError("3-D scenarios take three integer mode numbers")
     return 2.0 * np.pi * modes / grid.length
 
 
@@ -254,9 +236,11 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
       (missing entries are zero).
 
     Every returned state satisfies both divergence constraints at t = 0;
-    custom data violating them beyond 1e-8 (grid RMS) raises
+    data violating them beyond 1e-8 (grid RMS) or not finite raises
     InconsistentScenario, as does any nonzero Im chi under chi_mode="real".
     """
+    if chi_mode not in ("real", "complex"):
+        raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
     space = SpectralSpace(grid)
     shape = grid.shape
     params = dict(scenario.get("params", {}))
@@ -309,7 +293,7 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
         amplitude = float(params.get("amplitude", 1.0))
         knorm = float(np.linalg.norm(kvec))
         if knorm == 0.0:
-            raise ValueError("chi_planewave requires a nonzero mode")
+            raise ChiMaxwellError("chi_planewave requires a nonzero mode")
         phase = _plane_phase(space, kvec)
         chi_re = amplitude * phase.real
         chi_re_t = amplitude * C_LIGHT * knorm * phase.imag  # d/dt cos(k.x - ckt) at t=0
@@ -322,7 +306,7 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
                 return target
             arr = np.asarray(value, dtype=np.float64)
             if arr.shape != target.shape:
-                raise ValueError(f"custom field {name!r} has shape {arr.shape}, "
+                raise ChiMaxwellError(f"custom field {name!r} has shape {arr.shape}, "
                                  f"expected {target.shape}")
             return arr.copy()
 
@@ -333,93 +317,22 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
         chi_re_t = take("chi_re_t", chi_re_t)
         chi_im_t = take("chi_im_t", chi_im_t)
     else:
-        raise ValueError(f"unknown scenario type {kind!r}")
+        raise ChiMaxwellError(f"unknown scenario type {kind!r}")
 
-    if chi_mode == "real":
-        if np.any(chi_im != 0.0) or np.any(chi_im_t != 0.0):
-            raise InconsistentScenario(
-                "Im(chi) is nonzero; magnetic-source mode needs chi_mode='complex'"
-            )
-    elif chi_mode != "complex":
-        raise ValueError("chi_mode must be 'real' or 'complex'")
+    if chi_mode == "real" and (np.any(chi_im != 0.0) or np.any(chi_im_t != 0.0)):
+        raise InconsistentScenario(
+            "Im(chi) is nonzero; magnetic-source mode needs chi_mode='complex'"
+        )
 
     state = FieldState(grid, 0.0, e, b, chi_re, chi_im, chi_re_t, chi_im_t)
     ge, gb = _gauss_residuals(space, state)
-    if max(ge, gb) > 1e-8:
+    # Written so that a NaN residual (non-finite input data) is rejected too.
+    if not (ge <= 1e-8 and gb <= 1e-8):
         raise InconsistentScenario(
             f"initial data violates the divergence constraints "
-            f"(gauss_e={ge:.3e}, gauss_b={gb:.3e} > 1e-8)"
+            f"(gauss_e={ge:.3e}, gauss_b={gb:.3e}; each must be <= 1e-8)"
         )
     return state
-
-
-def _pack(space: SpectralSpace, state: FieldState) -> np.ndarray:
-    out = np.empty((10, *space.k2.shape), dtype=np.complex128)
-    for a in range(3):
-        out[a] = space.fwd(state.e[a])
-        out[3 + a] = space.fwd(state.b[a])
-    out[6] = space.fwd(state.chi_re)
-    out[7] = space.fwd(state.chi_im)
-    out[8] = space.fwd(state.chi_re_t)
-    out[9] = space.fwd(state.chi_im_t)
-    return out
-
-
-def _unpack(space: SpectralSpace, yh: np.ndarray, grid: Grid, t: float) -> FieldState:
-    e = np.stack([space.inv(yh[a]) for a in range(3)])
-    b = np.stack([space.inv(yh[3 + a]) for a in range(3)])
-    return FieldState(
-        grid, t, e, b,
-        space.inv(yh[6]), space.inv(yh[7]), space.inv(yh[8]), space.inv(yh[9]),
-    )
-
-
-def _rhs(space: SpectralSpace, yh: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Spectral-space right-hand side:
-
-        dE/dt  =  c (ik x B) - c ik chi_re         (components 0..2)
-        dB/dt  = -c (ik x E) + c ik chi_im         (components 3..5)
-        d(chi)/dt = chi_t,  d(chi_t)/dt = -c^2 k^2 chi   (components 6..9)
-
-    Written with preallocated output and in-place updates: the stepping loop
-    is memory-bandwidth bound on large grids.
-    """
-    ik = space.ik
-    e, b = yh[0:3], yh[3:6]
-    np.multiply(ik[1], b[2], out=out[0]); out[0] -= ik[2] * b[1]; out[0] -= ik[0] * yh[6]
-    np.multiply(ik[2], b[0], out=out[1]); out[1] -= ik[0] * b[2]; out[1] -= ik[1] * yh[6]
-    np.multiply(ik[0], b[1], out=out[2]); out[2] -= ik[1] * b[0]; out[2] -= ik[2] * yh[6]
-    np.multiply(ik[2], e[1], out=out[3]); out[3] -= ik[1] * e[2]; out[3] += ik[0] * yh[7]
-    np.multiply(ik[0], e[2], out=out[4]); out[4] -= ik[2] * e[0]; out[4] += ik[1] * yh[7]
-    np.multiply(ik[1], e[0], out=out[5]); out[5] -= ik[0] * e[1]; out[5] += ik[2] * yh[7]
-    if C_LIGHT != 1.0:
-        out[0:6] *= C_LIGHT
-    out[6] = yh[8]
-    out[7] = yh[9]
-    np.multiply(space.neg_c2k2, yh[6], out=out[8])
-    np.multiply(space.neg_c2k2, yh[7], out=out[9])
-    return out
-
-
-def _rk4(space: SpectralSpace, yh: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _rhs(space, yh, np.empty_like(yh))
-    stage = np.multiply(k1, 0.5 * dt)
-    stage += yh
-    k2 = _rhs(space, stage, np.empty_like(yh))
-    np.multiply(k2, 0.5 * dt, out=stage)
-    stage += yh
-    k3 = _rhs(space, stage, np.empty_like(yh))
-    np.multiply(k3, dt, out=stage)
-    stage += yh
-    k4 = _rhs(space, stage, np.empty_like(yh))  # out must not alias the input
-    # y + (dt/6)(k1 + 2 k2 + 2 k3 + k4), accumulated in k1
-    k2 += k3
-    k1 += k4
-    k2 *= 2.0
-    k1 += k2
-    k1 *= dt / 6.0
-    k1 += yh
-    return k1
 
 
 def _check_cfl(grid: Grid, dt: float) -> None:
@@ -428,13 +341,87 @@ def _check_cfl(grid: Grid, dt: float) -> None:
         raise CFLViolation(f"|dt| = {abs(dt):.6g} exceeds the bound {bound:.6g}")
 
 
+class _Propagator:
+    """s RK4 steps as one jump of the spectra of psi = E - iB, chi and chi_t.
+
+    Per bin (p = k, E = i d/dt) the operator is (E + S.p) psi = p chi, that
+    is dpsi/dt = -k x psi - i k chi, where -k^ x = i (S.k^) squares to -1
+    on the part psi_T of psi transverse to k^ = k/|k|; (chi, chi_t) rotate
+    at frequency |k| and k^.psi - i chi_t/|k| stays fixed.  So s steps
+    multiply by rho = r(i theta)^s, r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    theta = |k| dt, C = Re rho, Sn = Im rho:
+
+        chi   <- C chi + (Sn/|k|) chi_t
+        chi_t <- -|k| Sn chi + C chi_t              (chi_t' below)
+        psi   <- C psi_T - Sn k^ x psi + k^ (k^.psi + i (chi_t' - chi_t)/|k|)
+
+    At k = 0, psi and chi_t stay put and chi <- chi + s dt chi_t.
+
+    The full spectra live on two rfftn half-grids: psi, chi, chi_t, and
+    those of their conjugates (E + iB, ...), which turn the other way
+    (Sn -> -Sn).  Built from the real fields' rfftn, the pair keeps real
+    fields exactly real, so a field that is zero stays exactly zero.
+    """
+
+    def __init__(self, grid: Grid):
+        self.space = SpectralSpace(grid)
+        self.kabs = np.sqrt(self.space.k2)
+        self.inv_k = np.divide(1.0, self.kabs, out=np.zeros_like(self.kabs),
+                               where=self.kabs > 0)
+        self.khat = [ka * self.inv_k for ka in self.space.k]
+
+    def spectra(self, state: FieldState):
+        """((psi, chi, chi_t), (their conjugates)) spectra of a state."""
+        e, b, re, im, re_t, im_t = (self.space.fwd(getattr(state, name))
+                                    for name in SNAPSHOT_FIELDS)
+        return ((e - 1j * b, re + 1j * im, re_t + 1j * im_t),
+                (e + 1j * b, re - 1j * im, re_t - 1j * im_t))
+
+    def state(self, spectra, t: float) -> FieldState:
+        """Real-space state at time t from the pair of spectra (B = -Im psi)."""
+        (psi, chi, chi_t), (psi_c, chi_c, chi_t_c) = spectra
+        inv = self.space.inv
+        return FieldState(
+            self.space.grid, t, inv(0.5 * (psi + psi_c)), inv(0.5j * (psi - psi_c)),
+            inv(0.5 * (chi + chi_c)), inv(-0.5j * (chi - chi_c)),
+            inv(0.5 * (chi_t + chi_t_c)), inv(-0.5j * (chi_t - chi_t_c)))
+
+    def factors(self, s: int, dt: float) -> tuple[np.ndarray, ...]:
+        """(C, Sn, Sn/|k|, |k| Sn) for s steps of length dt; Sn/|k| takes
+        its k -> 0 limit s dt in the k = 0 bin."""
+        theta = self.kabs * dt
+        th2 = theta * theta
+        rho = ((1.0 - th2 / 2.0 + th2 * th2 / 24.0)
+               + 1j * theta * (1.0 - th2 / 6.0)) ** s
+        c, sn = rho.real.copy(), rho.imag.copy()
+        return c, sn, np.where(self.kabs > 0, sn * self.inv_k, s * dt), self.kabs * sn
+
+    def jump(self, spectra, factors):
+        """The pair advanced by the steps `factors` was built for."""
+        c, sn, sn_over_k, k_sn = factors
+        kx, ky, kz = self.khat
+        out = []
+        for (psi, chi, chi_t), turn in zip(spectra, (sn, -sn)):
+            chi_new = c * chi + sn_over_k * chi_t
+            chi_t_new = c * chi_t - k_sn * chi
+            long = kx * psi[0] + ky * psi[1] + kz * psi[2]
+            # new longitudinal part less the C k^ (k^.psi) that C psi carries
+            shift = (1.0 - c) * long + 1j * self.inv_k * (chi_t_new - chi_t)
+            psi_new = np.empty_like(psi)
+            psi_new[0] = c * psi[0] - turn * (ky * psi[2] - kz * psi[1]) + kx * shift
+            psi_new[1] = c * psi[1] - turn * (kz * psi[0] - kx * psi[2]) + ky * shift
+            psi_new[2] = c * psi[2] - turn * (kx * psi[1] - ky * psi[0]) + kz * shift
+            out.append((psi_new, chi_new, chi_t_new))
+        return tuple(out)
+
+
 def step(state: FieldState, dt: float) -> FieldState:
     """Advance one RK4 step of length dt (dt may be negative: the scheme is
     reversible to its accuracy order).  Raises CFLViolation beyond the bound."""
     _check_cfl(state.grid, dt)
-    space = SpectralSpace(state.grid)
-    yh = _rk4(space, _pack(space, state), dt)
-    return _unpack(space, yh, state.grid, state.t + dt)
+    prop = _Propagator(state.grid)
+    spectra = prop.jump(prop.spectra(state), prop.factors(1, dt))
+    return prop.state(spectra, state.t + dt)
 
 
 def _gauss_residuals(space: SpectralSpace, state: FieldState) -> tuple[float, float]:
@@ -491,23 +478,27 @@ def run(
     n_steps = ceil(t_end / dt), so the run lands on t_end exactly.
     output_every = k records every k-th step (plus t = 0 and the final step);
     output_every = 0 records endpoints only.  Deterministic given inputs.
+    The steps between two outputs are taken as one jump of the propagator
+    (see _Propagator), so the cost grows with the number of outputs.
 
     When out_dir is given, snapshots (.bin + .json sidecar) and a
     diagnostics.csv time series are written there.  keep_snapshots=False
     drops intermediate snapshots from the returned list (initial and final
     states are always kept) -- useful for dense diagnostics on large grids.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ChiMaxwellError("t_end must be positive and finite")
     if dt is None:
         dt = cfl_bound(grid)
+    elif not dt > 0:
+        raise ChiMaxwellError("dt must be positive")
     n_steps = max(1, math.ceil(t_end / dt - 1e-9))
     dt_eff = t_end / n_steps
     _check_cfl(grid, dt_eff)
 
     state0 = init_state(grid, scenario, chi_mode=chi_mode)
-    space = SpectralSpace(grid)
-    yh = _pack(space, state0)
+    prop = _Propagator(grid)
+    spectra = prop.spectra(state0)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -524,11 +515,14 @@ def run(
             save_snapshot(state, out_path / f"snapshot_{index:06d}")
 
     record(state0, 0)
-    for i in range(1, n_steps + 1):
-        yh = _rk4(space, yh, dt_eff)
-        is_output = (output_every > 0 and i % output_every == 0) or i == n_steps
-        if is_output:
-            record(_unpack(space, yh, grid, i * dt_eff), i)
+    every = min(output_every, n_steps) if output_every > 0 else n_steps
+    factors = prop.factors(every, dt_eff)
+    for i in range(every, n_steps + 1, every):
+        spectra = prop.jump(spectra, factors)
+        record(prop.state(spectra, i * dt_eff), i)
+    if n_steps % every:  # a shorter last jump lands on t_end
+        spectra = prop.jump(spectra, prop.factors(n_steps % every, dt_eff))
+        record(prop.state(spectra, n_steps * dt_eff), n_steps)
 
     if out_path is not None:
         write_diagnostics_csv(out_path / "diagnostics.csv", diags)
@@ -560,8 +554,13 @@ def load_snapshot(path_base: str | Path) -> FieldState:
     base = Path(path_base)
     header = json.loads(base.with_suffix(".json").read_text())
     grid = Grid(**header["grid"])
-    raw = np.fromfile(base.with_suffix(".bin"), dtype="<f8")
+    bin_path = base.with_suffix(".bin")
+    raw = np.fromfile(bin_path, dtype="<f8")
     cells = int(np.prod(grid.shape))
+    expected = cells * sum(header["components"][name] for name in header["fields"])
+    if raw.size != expected:
+        raise ChiMaxwellError(f"{bin_path} holds {raw.size} float64 values; "
+                              f"its header implies {expected}")
     arrays = {}
     offset = 0
     for name in header["fields"]:

@@ -48,14 +48,15 @@ def levi_civita(i: int, j: int, k: int) -> int:
     return (j - i) * (k - j) * (k - i) // 2
 
 
+# (S_i)^{jk} = i eps^{jik}, built once; read-only, so callers get copies
+_SPIN = np.array([[[1j * levi_civita(j, i, k) for k in range(3)] for j in range(3)]
+                  for i in range(3)], dtype=np.complex128)
+_SPIN.flags.writeable = False
+
+
 def build_spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (Sx, Sy, Sz) as fresh 3x3 complex arrays, (S_i)^{jk} = i eps^{jik}."""
-    mats = np.zeros((3, 3, 3), dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                mats[i, j, k] = 1j * levi_civita(j, i, k)
-    return mats[0], mats[1], mats[2]
+    return tuple(m.copy() for m in _SPIN)
 
 
 def spin_dot_p(p: np.ndarray) -> np.ndarray:
@@ -64,7 +65,7 @@ def spin_dot_p(p: np.ndarray) -> np.ndarray:
     Hermitian with spectrum {+|p|, 0, -|p|}; acts as (S.p) v = i p x v.
     """
     p = np.asarray(p, dtype=np.float64)
-    sx, sy, sz = build_spin_matrices()
+    sx, sy, sz = _SPIN
     return p[0] * sx + p[1] * sy + p[2] * sz
 
 
@@ -88,15 +89,14 @@ def product_identity_residual(axis, p: np.ndarray) -> float:
     """
     i = _AXES[axis]
     p = np.asarray(p, dtype=np.float64)
-    mats = build_spin_matrices()
-    lhs = mats[i] @ spin_dot_p(p)
+    lhs = _SPIN[i] @ spin_dot_p(p)
 
     s_cross_p = np.zeros((3, 3), dtype=np.complex128)
     for k in range(3):
         for l in range(3):
             e = levi_civita(i, k, l)
             if e:
-                s_cross_p += e * mats[k] * p[l]
+                s_cross_p += e * _SPIN[k] * p[l]
     rhs = p[i] * np.eye(3) - 1j * s_cross_p
     rhs[i, :] -= p
     return float(np.max(np.abs(lhs - rhs)))
@@ -121,7 +121,7 @@ def dirac_chain_residual(
     """
     p = np.asarray(p, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.complex128)
-    sx, sy, sz = build_spin_matrices()
+    sx, sy, sz = _SPIN
     sp = spin_dot_p(p)
 
     scale = 1e-12 * (1.0 + abs(pt) + np.linalg.norm(p)) * max(np.linalg.norm(psi), 1e-300)
@@ -145,4 +145,4 @@ def dirac_chain_residual(
 def singularity_report() -> tuple[float, float, float]:
     """(|det Sx|, |det Sy|, |det Sz|) -- all zero: the spin-1 matrices are
     singular (rank 2), so inverting them is never legitimate."""
-    return tuple(float(abs(np.linalg.det(m))) for m in build_spin_matrices())
+    return tuple(float(abs(np.linalg.det(m))) for m in _SPIN)

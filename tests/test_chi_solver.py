@@ -18,7 +18,7 @@ from chimaxwell.chi_solver import (
     step,
     write_diagnostics_csv,
 )
-from chimaxwell.errors import CFLViolation, InconsistentScenario
+from chimaxwell.errors import CFLViolation, ChiMaxwellError, InconsistentScenario
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,6 +30,12 @@ def vacuum_scenario(modes, helicity=-1, amplitude=1.0):
 
 def gaussian_scenario(width, amplitude=1.0):
     return {"type": "chi_gaussian", "params": {"width": width, "amplitude": amplitude}}
+
+
+def nan_field(shape):
+    f = np.zeros(shape)
+    f.flat[f.size // 2] = np.nan
+    return f
 
 
 def state_norm(state):
@@ -146,6 +152,16 @@ class TestInitState:
         with pytest.raises(ValueError):
             init_state(Grid(16, 1.0, dims=1), {"type": "nope"})
 
+    @pytest.mark.parametrize("scenario, chi_mode", [
+        ({"type": "custom", "params": {"e": nan_field((3, 16))}}, "real"),
+        ({"type": "custom", "params": {"chi_im_t": nan_field(16)}}, "complex"),
+        (vacuum_scenario([1], amplitude=float("nan")), "real"),
+    ], ids=["nan-in-e", "nan-in-chi_im_t", "nan-amplitude"])
+    def test_non_finite_data_rejected(self, scenario, chi_mode):
+        # a NaN residual must fail the constraint gate, not slip past it
+        with pytest.raises(InconsistentScenario):
+            init_state(Grid(16, TWO_PI, dims=1), scenario, chi_mode=chi_mode)
+
 
 class TestStep:
     def test_cfl_violation_raised(self):
@@ -190,6 +206,81 @@ class TestStep:
         r1, r2 = step(s1, dt), step(s2, dt)
         assert np.max(np.abs(lhs.e - (a * r1.e + b * r2.e))) <= 1e-10
         assert np.max(np.abs(lhs.chi_re - (a * r1.chi_re + b * r2.chi_re))) <= 1e-10
+
+
+def complex_chi_scenario(g):
+    """Vacuum wave plus an electric Gaussian (Re chi) plus a magnetic one
+    (Im chi), as custom data satisfying both divergence constraints."""
+    vac = init_state(g, vacuum_scenario([1, 0, 2], helicity=1, amplitude=0.7))
+    ge = init_state(g, gaussian_scenario(TWO_PI / 8))
+    gm = init_state(g, {"type": "chi_gaussian",
+                        "params": {"width": TWO_PI / 6, "amplitude": -0.4,
+                                   "center": [1.0, 2.5, 4.0]}})
+    # div B = +d/dt Im(chi): the magnetic Gaussian's E field, negated, is B
+    return {"type": "custom", "params": {
+        "e": vac.e + ge.e, "b": vac.b - gm.e,
+        "chi_re": ge.chi_re, "chi_re_t": ge.chi_re_t,
+        "chi_im": gm.chi_re, "chi_im_t": gm.chi_re_t,
+    }}
+
+
+def reference_rk4(state, dt, n_steps):
+    """Classical RK4 on the real fields in real space, built only from the
+    SpectralSpace operators; returns the state after each step."""
+    space = SpectralSpace(state.grid)
+
+    def rhs(y):
+        e, b, chi_re, chi_im, chi_re_t, chi_im_t = y
+        return (space.curl(b) - space.grad(chi_re),
+                -space.curl(e) + space.grad(chi_im),
+                chi_re_t, chi_im_t,
+                space.laplacian(chi_re), space.laplacian(chi_im))
+
+    def axpy(a, x, y):
+        return tuple(yi + a * xi for xi, yi in zip(x, y))
+
+    y = tuple(getattr(state, name) for name in
+              ("e", "b", "chi_re", "chi_im", "chi_re_t", "chi_im_t"))
+    out = []
+    for i in range(1, n_steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(axpy(dt / 2, k1, y))
+        k3 = rhs(axpy(dt / 2, k2, y))
+        k4 = rhs(axpy(dt, k3, y))
+        y = tuple(yi + dt / 6 * (a + 2 * b + 2 * c + d)
+                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+        out.append(FieldState(state.grid, i * dt, *y))
+    return out
+
+
+class TestPropagatorOracle:
+    @pytest.mark.parametrize("output_every", [0, 1, 4])
+    def test_run_matches_reference_rk4(self, output_every):
+        # output_every = 4 over 10 steps ends on a shorter 2-step jump
+        g = Grid(16, TWO_PI, dims=3)
+        scenario = complex_chi_scenario(g)
+        n_steps = 10
+        t_end = n_steps * cfl_bound(g)
+        _, _, snaps = run(g, scenario, t_end, output_every=output_every,
+                          chi_mode="complex")
+        dt_eff = t_end / n_steps
+        ref = reference_rk4(snaps[0], dt_eff, n_steps)
+        expected = [i for i in range(1, n_steps + 1)
+                    if (output_every and i % output_every == 0) or i == n_steps]
+        assert [round(s.t / dt_eff) for s in snaps[1:]] == expected
+        for snap in snaps[1:]:
+            want = ref[round(snap.t / dt_eff) - 1]
+            assert snap.t == want.t
+            assert state_distance(snap, want) <= 1e-12 * state_norm(want)
+
+    def test_two_steps_match_run(self):
+        g = Grid(16, TWO_PI, dims=3)
+        scenario = complex_chi_scenario(g)
+        dt = cfl_bound(g)
+        final, _, snaps = run(g, scenario, 2 * dt, dt, chi_mode="complex")
+        stepped = step(step(snaps[0], dt), dt)
+        assert stepped.t == pytest.approx(final.t, rel=1e-15)
+        assert state_distance(stepped, final) <= 1e-13 * state_norm(final)
 
 
 class TestVacuumReduction:
@@ -308,6 +399,15 @@ class TestRunAndIO:
             assert np.array_equal(getattr(state, name), getattr(loaded, name))
         assert loaded.t == state.t
         assert loaded.grid == g
+
+    def test_truncated_snapshot_fails_loudly(self, tmp_path):
+        g = Grid(16, TWO_PI, dims=1)
+        save_snapshot(init_state(g, gaussian_scenario(TWO_PI / 8)), tmp_path / "snap")
+        path = tmp_path / "snap.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        # 10 field components of 16 cells, one float64 short
+        with pytest.raises(ChiMaxwellError, match=r"snap\.bin holds 159 .* implies 160"):
+            load_snapshot(tmp_path / "snap")
 
     def test_run_writes_files(self, tmp_path):
         g = Grid(16, TWO_PI, dims=1)

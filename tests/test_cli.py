@@ -205,10 +205,28 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["l2_change_from_initial"] <= 1e-6
 
-    def test_bad_config_exit_code(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{\"grid\": {}}")
+    @pytest.mark.parametrize("overrides", [
+        None,
+        {"scenario": {"type": "nope"}},
+        {"chi_mode": "imaginary"},
+        {"t_end": 0.0},
+        {"t_end": -1.0},
+        {"dt": 0},
+        {"scenario": {"type": "vacuum_planewave",
+                      "params": {"k": [1], "amplitude": float("nan")}}},
+    ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
+            "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
+        # every configuration error exits 2 with one line on stderr, no traceback
+        if overrides is None:
+            path = tmp_path / "bad.json"
+            path.write_text("{\"grid\": {}}")
+        else:
+            path = self.write_config(tmp_path, **overrides)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "summary.json").exists()
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
