@@ -59,6 +59,7 @@ __all__ = [
     "Diagnostics",
     "SpectralSpace",
     "cfl_bound",
+    "plan_steps",
     "init_state",
     "step",
     "diagnostics",
@@ -335,6 +336,20 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
     return state
 
 
+def plan_steps(grid: Grid, t_end: float, dt: float | None = None) -> tuple[int, float]:
+    """(n_steps, dt_eff) of a run to t_end: dt defaults to the CFL bound,
+    n_steps = ceil(t_end / dt) and dt_eff = t_end / n_steps, so the run
+    lands on t_end exactly."""
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ChiMaxwellError("t_end must be positive and finite")
+    if dt is None:
+        dt = cfl_bound(grid)
+    elif not dt > 0:
+        raise ChiMaxwellError("dt must be positive")
+    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
+    return n_steps, t_end / n_steps
+
+
 def _check_cfl(grid: Grid, dt: float) -> None:
     bound = cfl_bound(grid)
     if abs(dt) > bound * (1.0 + 1e-12):
@@ -369,6 +384,13 @@ class _Propagator:
         self.inv_k = np.divide(1.0, self.kabs, out=np.zeros_like(self.kabs),
                                where=self.kabs > 0)
         self.khat = [ka * self.inv_k for ka in self.space.k]
+        # Parseval on the rfftn half-grid: a column other than k = 0 and
+        # Nyquist on the last axis stands for itself and its mirror -k.
+        # Held per float64 of the (re, im)-interleaved view of a spectrum.
+        half = grid.n // 2 + 1
+        self.weight = np.full(2 * half, 2.0)
+        self.weight[[0, 1, -2, -1]] = 1.0
+        self.cells = math.prod(grid.shape)
 
     def spectra(self, state: FieldState):
         """((psi, chi, chi_t), (their conjugates)) spectra of a state."""
@@ -414,6 +436,33 @@ class _Propagator:
             out.append((psi_new, chi_new, chi_t_new))
         return tuple(out)
 
+    def _mean_sq(self, *spectra: np.ndarray) -> float:
+        """Grid mean of |f|^2, summed over the fields whose half-grid
+        spectra are given (with their components)."""
+        power = 0.0
+        for f in spectra:
+            v = np.ascontiguousarray(f).view(np.float64).reshape(-1, self.weight.size)
+            power += float(np.einsum("ij,ij->j", v, v) @ self.weight)
+        return power / self.cells**2
+
+    def diagnostics(self, spectra, t: float) -> Diagnostics:
+        """The diagnostics of the state the pair describes, read off its
+        spectra by Parseval, with no FFT.  With G = i k.psi + chi_t (and G_c
+        from the conjugates), (G + G_c)/2 is the spectrum of
+        div E + d/dt Re chi and (G_c - G)/2 that of i (div B - d/dt Im chi)."""
+        (psi, chi, chi_t), (psi_c, chi_c, chi_t_c) = spectra
+        k = self.space.k
+        g = 1j * (k[0] * psi[0] + k[1] * psi[1] + k[2] * psi[2]) + chi_t
+        g_c = 1j * (k[0] * psi_c[0] + k[1] * psi_c[1] + k[2] * psi_c[2]) + chi_t_c
+        ge = math.sqrt(self._mean_sq(0.5 * (g + g_c)))
+        gb = math.sqrt(self._mean_sq(0.5 * (g_c - g)))
+        grad = [1j * ka * (0.5 * (chi + chi_c)) for ka in k]
+        curl_j = math.sqrt(self._mean_sq(1j * (k[1] * grad[2] - k[2] * grad[1]),
+                                         1j * (k[2] * grad[0] - k[0] * grad[2]),
+                                         1j * (k[0] * grad[1] - k[1] * grad[0])))
+        energy = 0.25 * self._mean_sq(psi, psi_c, chi, chi_c) * self.space.grid.volume
+        return Diagnostics(t, ge, gb, curl_j, 0.0, energy)
+
 
 def step(state: FieldState, dt: float) -> FieldState:
     """Advance one RK4 step of length dt (dt may be negative: the scheme is
@@ -433,33 +482,25 @@ def _gauss_residuals(space: SpectralSpace, state: FieldState) -> tuple[float, fl
 def diagnostics(state: FieldState) -> Diagnostics:
     """Constraint residuals (grid RMS), discrete identity checks, and energy.
 
+    Everything is read off the state's spectra by Parseval: six rfftn here,
+    and none for the samples `run` takes, which come straight from the
+    propagator's spectra.
+
     With the current-density reading j ~ grad Re(chi), rho ~ -(1/c^2) d/dt
     Re(chi), the two identities below are the curl-free and continuity
-    equations of that pair; both are identically zero in the continuum and
-    measure pure discretization roundoff here:
+    equations of that pair; both are identically zero in the continuum:
 
-    * curl_j_residual     = RMS( curl grad Re(chi) )
-    * continuity_residual = RMS( (1/c^2) d/dt grad Re(chi) + grad rho )
+    * curl_j_residual     = RMS( i k x (i k Re(chi)) ), which measures the
+      roundoff of the Fourier multipliers only;
+    * continuity_residual = RMS( (1/c^2) d/dt grad Re(chi) + grad rho ),
+      which is 0.0 by construction: the two terms are the same field with
+      opposite signs.
 
     energy = (1/2) Integral (E^2 + B^2 + Re(chi)^2 + Im(chi)^2) dV, which the
     evolution conserves on the constraint surface.
     """
-    space = SpectralSpace(state.grid)
-    c = C_LIGHT
-    ge, gb = _gauss_residuals(space, state)
-    current = space.grad(state.chi_re)
-    curl_j = _rms(space.curl(current))
-    d_current_dt = space.grad(state.chi_re_t)
-    grad_rho = space.grad(-(state.chi_re_t / c)) / c
-    continuity = _rms(d_current_dt / (c * c) + grad_rho)
-    density = (
-        np.sum(state.e**2, axis=0)
-        + np.sum(state.b**2, axis=0)
-        + state.chi_re**2
-        + state.chi_im**2
-    )
-    energy = 0.5 * float(np.mean(density)) * state.grid.volume
-    return Diagnostics(state.t, ge, gb, curl_j, continuity, energy)
+    prop = _Propagator(state.grid)
+    return prop.diagnostics(prop.spectra(state), state.t)
 
 
 def run(
@@ -474,26 +515,21 @@ def run(
 ) -> tuple[FieldState, list[Diagnostics], list[FieldState]]:
     """Evolve a scenario to t_end, recording diagnostics and snapshots.
 
-    dt defaults to the CFL bound; the actual step is t_end / n_steps with
-    n_steps = ceil(t_end / dt), so the run lands on t_end exactly.
+    dt defaults to the CFL bound; the actual step is t_end / n_steps (see
+    plan_steps), so the run lands on t_end exactly.
     output_every = k records every k-th step (plus t = 0 and the final step);
     output_every = 0 records endpoints only.  Deterministic given inputs.
     The steps between two outputs are taken as one jump of the propagator
-    (see _Propagator), so the cost grows with the number of outputs.
+    (see _Propagator), so the cost grows with the number of outputs.  Each
+    sample's diagnostics come from the propagator's spectra; a state is
+    transformed back to real space only when it is kept or written.
 
     When out_dir is given, snapshots (.bin + .json sidecar) and a
     diagnostics.csv time series are written there.  keep_snapshots=False
     drops intermediate snapshots from the returned list (initial and final
     states are always kept) -- useful for dense diagnostics on large grids.
     """
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise ChiMaxwellError("t_end must be positive and finite")
-    if dt is None:
-        dt = cfl_bound(grid)
-    elif not dt > 0:
-        raise ChiMaxwellError("dt must be positive")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
-    dt_eff = t_end / n_steps
+    n_steps, dt_eff = plan_steps(grid, t_end, dt)
     _check_cfl(grid, dt_eff)
 
     state0 = init_state(grid, scenario, chi_mode=chi_mode)
@@ -507,22 +543,27 @@ def run(
     diags: list[Diagnostics] = []
     snapshots: list[FieldState] = []
 
-    def record(state: FieldState, index: int) -> None:
-        diags.append(diagnostics(state))
-        if keep_snapshots or index in (0, n_steps):
+    def record(pair, index: int) -> None:
+        t = index * dt_eff
+        diags.append(prop.diagnostics(pair, t))
+        keep = keep_snapshots or index in (0, n_steps)
+        if not (keep or out_path is not None):
+            return  # a sample that is neither kept nor written stays spectral
+        state = state0 if index == 0 else prop.state(pair, t)
+        if keep:
             snapshots.append(state)
         if out_path is not None:
             save_snapshot(state, out_path / f"snapshot_{index:06d}")
 
-    record(state0, 0)
+    record(spectra, 0)
     every = min(output_every, n_steps) if output_every > 0 else n_steps
     factors = prop.factors(every, dt_eff)
     for i in range(every, n_steps + 1, every):
         spectra = prop.jump(spectra, factors)
-        record(prop.state(spectra, i * dt_eff), i)
+        record(spectra, i)
     if n_steps % every:  # a shorter last jump lands on t_end
         spectra = prop.jump(spectra, prop.factors(n_steps % every, dt_eff))
-        record(prop.state(spectra, n_steps * dt_eff), n_steps)
+        record(spectra, n_steps)
 
     if out_path is not None:
         write_diagnostics_csv(out_path / "diagnostics.csv", diags)
@@ -533,9 +574,6 @@ def save_snapshot(state: FieldState, path_base: str | Path) -> None:
     """Write <base>.bin (flat little-endian float64, C order, fields in
     SNAPSHOT_FIELDS order) plus a <base>.json sidecar with the layout."""
     base = Path(path_base)
-    parts = [np.ascontiguousarray(getattr(state, name), dtype="<f8").ravel()
-             for name in SNAPSHOT_FIELDS]
-    np.concatenate(parts).tofile(base.with_suffix(".bin"))
     header = {
         "format": "chimaxwell-snapshot-v1",
         "time": state.t,
@@ -546,7 +584,12 @@ def save_snapshot(state: FieldState, path_base: str | Path) -> None:
         "endianness": "little",
         "order": "C",
     }
-    base.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True))
+    # Serialized first, so a non-finite time fails before any file is written.
+    text = json.dumps(header, indent=2, sort_keys=True, allow_nan=False)
+    parts = [np.ascontiguousarray(getattr(state, name), dtype="<f8").ravel()
+             for name in SNAPSHOT_FIELDS]
+    np.concatenate(parts).tofile(base.with_suffix(".bin"))
+    base.with_suffix(".json").write_text(text)
 
 
 def load_snapshot(path_base: str | Path) -> FieldState:

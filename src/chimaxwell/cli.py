@@ -57,7 +57,7 @@ def _parse_modes(text: str) -> list[str]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -204,7 +204,7 @@ def _cmd_simulate(args) -> int:
                   + np.mean(first.chi_re ** 2 + first.chi_im ** 2))
     l2_change = num / max(den, 1e-300)
     summary = {
-        "steps": len(snapshots) - 1 if output_every == 0 else None,
+        "steps": chi_solver.plan_steps(grid, t_end, dt)[0],
         "t_end": final.t / c_phys,
         "grid": {"n": grid.n, "L": grid.length, "dims": grid.dims},
         "final": {

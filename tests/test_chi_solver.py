@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chimaxwell import chi_solver
 from chimaxwell.chi_solver import (
     C_LIGHT,
     Diagnostics,
@@ -281,6 +282,83 @@ class TestPropagatorOracle:
         stepped = step(step(snaps[0], dt), dt)
         assert stepped.t == pytest.approx(final.t, rel=1e-15)
         assert state_distance(stepped, final) <= 1e-13 * state_norm(final)
+
+
+def violating_state(g, seed):
+    """Random real fields that break both divergence constraints, with Im
+    chi, built from low modes plus the k = 0 bin and the Nyquist bin of
+    every axis, at an arbitrary time."""
+    rng = np.random.default_rng(seed)
+    coords = SpectralSpace(g).coordinates()
+    axes = range(3 - g.dims, 3)
+
+    def field():
+        f = np.full(g.shape, rng.normal())
+        for _ in range(4):
+            m = rng.integers(-3, 4, 3)
+            phase = sum(m[a] * TWO_PI / g.length * coords[a] for a in axes)
+            f = f + rng.normal() * np.cos(phase + rng.uniform(0, TWO_PI))
+        for a in axes:  # cos(pi x / dx), the Nyquist bin of axis a
+            f = f + rng.normal() * np.cos(np.pi * coords[a] / g.dx)
+        return f
+
+    return FieldState(g, 0.375, np.stack([field() for _ in range(3)]),
+                      np.stack([field() for _ in range(3)]),
+                      *(field() for _ in range(4)))
+
+
+class TestSpectralDiagnostics:
+    @pytest.mark.parametrize("n, dims", [(16, 3), (64, 1)])
+    def test_match_real_space_formulas(self, n, dims):
+        g = Grid(n, TWO_PI, dims=dims)
+        state = violating_state(g, 60 + dims)
+        space = SpectralSpace(g)
+
+        def rms(f):
+            return np.sqrt(np.mean(f**2))
+
+        d = diagnostics(state)
+        gauss_e = rms(space.div(state.e) + state.chi_re_t / C_LIGHT)
+        gauss_b = rms(space.div(state.b) - state.chi_im_t / C_LIGHT)
+        energy = 0.5 * np.mean(np.sum(state.e**2 + state.b**2, axis=0)
+                               + state.chi_re**2 + state.chi_im**2) * g.volume
+        assert d.t == state.t
+        assert gauss_e >= 0.1 and gauss_b >= 0.1
+        assert d.gauss_e_residual == pytest.approx(gauss_e, rel=1e-12)
+        assert d.gauss_b_residual == pytest.approx(gauss_b, rel=1e-12)
+        assert d.energy == pytest.approx(energy, rel=1e-12)
+        assert d.curl_j_residual <= 1e-12 * state_norm(state)
+        assert d.continuity_residual == 0.0
+
+    def test_run_samples_match_public_diagnostics(self):
+        g = Grid(16, TWO_PI, dims=3)
+        _, diags, snaps = run(g, complex_chi_scenario(g), 6 * cfl_bound(g),
+                              output_every=2, chi_mode="complex")
+        assert len(diags) == len(snaps) == 4
+        for got, snap in zip(diags, snaps):
+            want = diagnostics(snap)
+            scale = 1e-14 * state_norm(snap)
+            assert got.t == want.t
+            assert abs(got.gauss_e_residual - want.gauss_e_residual) <= scale
+            assert abs(got.gauss_b_residual - want.gauss_b_residual) <= scale
+            assert abs(got.curl_j_residual - want.curl_j_residual) <= scale
+            assert got.continuity_residual == want.continuity_residual == 0.0
+            assert got.energy == pytest.approx(want.energy, rel=1e-14)
+
+    def test_only_the_final_state_is_unpacked(self, monkeypatch):
+        calls = []
+        unpack = chi_solver._Propagator.state
+
+        def counting(prop, spectra, t):
+            calls.append(t)
+            return unpack(prop, spectra, t)
+
+        monkeypatch.setattr(chi_solver._Propagator, "state", counting)
+        g = Grid(16, TWO_PI, dims=3)
+        final, diags, snaps = run(g, gaussian_scenario(TWO_PI / 8), 5 * cfl_bound(g),
+                                  output_every=1, keep_snapshots=False)
+        assert len(diags) == 6 and len(snaps) == 2
+        assert calls == [final.t]
 
 
 class TestVacuumReduction:

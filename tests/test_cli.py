@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from chimaxwell.cli import main
+from chimaxwell import chi_solver
+from chimaxwell.cli import _write_json, main
 from chimaxwell.polarization import energy_of
 
 
@@ -180,6 +181,16 @@ class TestSimulateCommand:
         header = profiles[0].read_text().split("\n")[0]
         assert header == "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"
 
+    @pytest.mark.parametrize("output_every", [0, 2])
+    def test_summary_counts_every_step(self, tmp_path, output_every):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point: still 3 steps
+        cfg = self.write_config(tmp_path, grid={"n": 16, "L": 6.283185307179586, "dims": 1},
+                                t_end=0.3, dt=0.1, output_every=output_every)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps"] == 3
+
     def test_physical_unit_conversion(self, tmp_path):
         # same scenario expressed with c = 2: times halve internally
         cfg1 = self.write_config(tmp_path, t_end=1.0, dt=0.02, c=1.0)
@@ -235,6 +246,27 @@ class TestSimulateCommand:
     def test_cfl_violation_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, dt=5.0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def write_nan_summary(base):
+    _write_json(base.with_suffix(".json"), {"energy": float("nan")})
+
+
+def write_nan_time_snapshot(base):
+    g = chi_solver.Grid(8, 1.0, dims=1)
+    zero = np.zeros(g.shape)
+    chi_solver.save_snapshot(chi_solver.FieldState(
+        g, float("nan"), np.zeros((3, *g.shape)), np.zeros((3, *g.shape)),
+        zero, zero, zero, zero), base)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("write", [write_nan_summary, write_nan_time_snapshot],
+                             ids=["cli-json", "snapshot-sidecar"])
+    def test_nan_raises_and_writes_nothing(self, tmp_path, write):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write(tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSnapshotFileRoundtrip:
