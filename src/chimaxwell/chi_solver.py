@@ -198,10 +198,6 @@ def cfl_bound(grid: Grid) -> float:
     return 0.5 * grid.dx / (C_LIGHT * math.sqrt(grid.dims))
 
 
-def _rms(f: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(f) ** 2)))
-
-
 def _mode_kvec(grid: Grid, modes) -> np.ndarray:
     """Physical wavevector 2 pi m / L from integer mode numbers."""
     modes = np.atleast_1d(np.asarray(modes, dtype=np.float64))
@@ -237,12 +233,14 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
       (missing entries are zero).
 
     Every returned state satisfies both divergence constraints at t = 0;
-    data violating them beyond 1e-8 (grid RMS) or not finite raises
+    data violating them beyond 1e-8 (the grid-RMS residuals that
+    diagnostics reports, from the same kernel) or not finite raises
     InconsistentScenario, as does any nonzero Im chi under chi_mode="real".
     """
     if chi_mode not in ("real", "complex"):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
-    space = SpectralSpace(grid)
+    prop = _Propagator(grid)
+    space = prop.space
     shape = grid.shape
     params = dict(scenario.get("params", {}))
     kind = scenario.get("type")
@@ -326,7 +324,7 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
         )
 
     state = FieldState(grid, 0.0, e, b, chi_re, chi_im, chi_re_t, chi_im_t)
-    ge, gb = _gauss_residuals(space, state)
+    ge, gb = prop.gauss(prop.spectra(state))
     # Written so that a NaN residual (non-finite input data) is rejected too.
     if not (ge <= 1e-8 and gb <= 1e-8):
         raise InconsistentScenario(
@@ -386,10 +384,8 @@ class _Propagator:
         self.khat = [ka * self.inv_k for ka in self.space.k]
         # Parseval on the rfftn half-grid: a column other than k = 0 and
         # Nyquist on the last axis stands for itself and its mirror -k.
-        # Held per float64 of the (re, im)-interleaved view of a spectrum.
-        half = grid.n // 2 + 1
-        self.weight = np.full(2 * half, 2.0)
-        self.weight[[0, 1, -2, -1]] = 1.0
+        self.weight = np.full(grid.n // 2 + 1, 2.0)
+        self.weight[[0, -1]] = 1.0
         self.cells = math.prod(grid.shape)
 
     def spectra(self, state: FieldState):
@@ -439,23 +435,28 @@ class _Propagator:
     def _mean_sq(self, *spectra: np.ndarray) -> float:
         """Grid mean of |f|^2, summed over the fields whose half-grid
         spectra are given (with their components)."""
-        power = 0.0
-        for f in spectra:
-            v = np.ascontiguousarray(f).view(np.float64).reshape(-1, self.weight.size)
-            power += float(np.einsum("ij,ij->j", v, v) @ self.weight)
+        power = sum(float(np.sum(self.weight * (f.real**2 + f.imag**2)))
+                    for f in spectra)
         return power / self.cells**2
 
-    def diagnostics(self, spectra, t: float) -> Diagnostics:
-        """The diagnostics of the state the pair describes, read off its
-        spectra by Parseval, with no FFT.  With G = i k.psi + chi_t (and G_c
-        from the conjugates), (G + G_c)/2 is the spectrum of
-        div E + d/dt Re chi and (G_c - G)/2 that of i (div B - d/dt Im chi)."""
-        (psi, chi, chi_t), (psi_c, chi_c, chi_t_c) = spectra
+    def gauss(self, spectra) -> tuple[float, float]:
+        """(gauss_e, gauss_b) of the state the pair describes, by Parseval.
+        With G = i k.psi + chi_t (and G_c from the conjugates), (G + G_c)/2
+        is the spectrum of div E + d/dt Re chi and (G_c - G)/2 that of
+        i (div B - d/dt Im chi)."""
+        (psi, _, chi_t), (psi_c, _, chi_t_c) = spectra
         k = self.space.k
         g = 1j * (k[0] * psi[0] + k[1] * psi[1] + k[2] * psi[2]) + chi_t
         g_c = 1j * (k[0] * psi_c[0] + k[1] * psi_c[1] + k[2] * psi_c[2]) + chi_t_c
-        ge = math.sqrt(self._mean_sq(0.5 * (g + g_c)))
-        gb = math.sqrt(self._mean_sq(0.5 * (g_c - g)))
+        return (math.sqrt(self._mean_sq(0.5 * (g + g_c))),
+                math.sqrt(self._mean_sq(0.5 * (g_c - g))))
+
+    def diagnostics(self, spectra, t: float) -> Diagnostics:
+        """The diagnostics of the state the pair describes, read off its
+        spectra by Parseval, with no FFT."""
+        (psi, chi, _), (psi_c, chi_c, _) = spectra
+        k = self.space.k
+        ge, gb = self.gauss(spectra)
         grad = [1j * ka * (0.5 * (chi + chi_c)) for ka in k]
         curl_j = math.sqrt(self._mean_sq(1j * (k[1] * grad[2] - k[2] * grad[1]),
                                          1j * (k[2] * grad[0] - k[0] * grad[2]),
@@ -471,12 +472,6 @@ def step(state: FieldState, dt: float) -> FieldState:
     prop = _Propagator(state.grid)
     spectra = prop.jump(prop.spectra(state), prop.factors(1, dt))
     return prop.state(spectra, state.t + dt)
-
-
-def _gauss_residuals(space: SpectralSpace, state: FieldState) -> tuple[float, float]:
-    ge = _rms(space.div(state.e) + state.chi_re_t / C_LIGHT)
-    gb = _rms(space.div(state.b) - state.chi_im_t / C_LIGHT)
-    return ge, gb
 
 
 def diagnostics(state: FieldState) -> Diagnostics:
@@ -585,7 +580,10 @@ def save_snapshot(state: FieldState, path_base: str | Path) -> None:
         "order": "C",
     }
     # Serialized first, so a non-finite time fails before any file is written.
-    text = json.dumps(header, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(header, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ChiMaxwellError(f"snapshot header: {exc}") from exc
     parts = [np.ascontiguousarray(getattr(state, name), dtype="<f8").ravel()
              for name in SNAPSHOT_FIELDS]
     np.concatenate(parts).tofile(base.with_suffix(".bin"))

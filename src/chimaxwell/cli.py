@@ -57,7 +57,11 @@ def _parse_modes(text: str) -> list[str]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ChiMaxwellError(f"{path.name}: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _cmd_verify(args) -> int:

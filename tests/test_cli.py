@@ -8,6 +8,7 @@ import pytest
 
 from chimaxwell import chi_solver
 from chimaxwell.cli import _write_json, main
+from chimaxwell.errors import ChiMaxwellError
 from chimaxwell.polarization import energy_of
 
 
@@ -225,8 +226,13 @@ class TestSimulateCommand:
         {"dt": 0},
         {"scenario": {"type": "vacuum_planewave",
                       "params": {"k": [1], "amplitude": float("nan")}}},
+        # a uniform chi of 1e200 meets both constraints, but its energy is inf
+        pytest.param({"grid": {"n": 8, "L": 1.0, "dims": 1}, "t_end": 0.1,
+                      "scenario": {"type": "custom", "params": {"chi_re": [1e200] * 8}}},
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
-            "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude"])
+            "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
+            "infinite-energy"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:
@@ -264,7 +270,7 @@ class TestStrictJson:
     @pytest.mark.parametrize("write", [write_nan_summary, write_nan_time_snapshot],
                              ids=["cli-json", "snapshot-sidecar"])
     def test_nan_raises_and_writes_nothing(self, tmp_path, write):
-        with pytest.raises(ValueError, match="JSON compliant"):
+        with pytest.raises(ChiMaxwellError, match="JSON compliant"):
             write(tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
