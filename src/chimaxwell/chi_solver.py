@@ -139,6 +139,10 @@ class SpectralSpace:
     discrete identities exact -- div grad = laplacian, curl grad = 0, and
     div curl = 0 hold bin by bin -- at the price of the Nyquist shell not
     propagating.  Initial data should be band-limited below it.
+
+    `fwd` returns mean-normalized coefficients (norm="forward"), whose squares
+    Parseval sums as they are; n is a power of two, so that exact 1/n leaves
+    every result bit-identical to scaling in `inv` instead.
     """
 
     def __init__(self, grid: Grid):
@@ -153,10 +157,10 @@ class SpectralSpace:
         self.k2 = self.k[0] ** 2 + self.k[1] ** 2 + self.k[2] ** 2
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(f, axes=self.axes)
+        return np.fft.rfftn(f, axes=self.axes, norm="forward")
 
     def inv(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(fh, s=self.grid.shape, axes=self.axes)
+        return np.fft.irfftn(fh, s=self.grid.shape, axes=self.axes, norm="forward")
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         fh = self.fwd(f)
@@ -232,11 +236,17 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
     * "custom": params e, b, chi_re, chi_im, chi_re_t, chi_im_t as arrays
       (missing entries are zero).
 
-    Every returned state satisfies both divergence constraints at t = 0;
-    data violating them beyond 1e-8 (the grid-RMS residuals that
-    diagnostics reports, from the same kernel) or not finite raises
+    Every returned state satisfies both divergence constraints at t = 0:
+    the gate reads the residuals of the state's t = 0 diagnostics sample,
+    and data violating them beyond 1e-8 or not finite raises
     InconsistentScenario, as does any nonzero Im chi under chi_mode="real".
     """
+    return _start(grid, scenario, chi_mode)[0]
+
+
+def _start(grid: Grid, scenario: dict, chi_mode: str):
+    """(state, propagator, spectra, sample) at t = 0, built, transformed
+    once and gated: the one start-up path of init_state and run."""
     if chi_mode not in ("real", "complex"):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
     prop = _Propagator(grid)
@@ -245,12 +255,8 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
     params = dict(scenario.get("params", {}))
     kind = scenario.get("type")
 
-    e = np.zeros((3, *shape))
-    b = np.zeros((3, *shape))
-    chi_re = np.zeros(shape)
-    chi_im = np.zeros(shape)
-    chi_re_t = np.zeros(shape)
-    chi_im_t = np.zeros(shape)
+    e, b = np.zeros((3, *shape)), np.zeros((3, *shape))
+    chi_re, chi_im, chi_re_t, chi_im_t = (np.zeros(shape) for _ in range(4))
 
     if kind == "vacuum_planewave":
         kvec = _mode_kvec(grid, params.get("k", [0, 0, 1] if grid.dims == 3 else [1]))
@@ -324,14 +330,16 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
         )
 
     state = FieldState(grid, 0.0, e, b, chi_re, chi_im, chi_re_t, chi_im_t)
-    ge, gb = prop.gauss(prop.spectra(state))
+    spectra = prop.spectra(state)
+    sample = prop.diagnostics(spectra, 0.0)
+    ge, gb = sample.gauss_e_residual, sample.gauss_b_residual
     # Written so that a NaN residual (non-finite input data) is rejected too.
     if not (ge <= 1e-8 and gb <= 1e-8):
         raise InconsistentScenario(
             f"initial data violates the divergence constraints "
             f"(gauss_e={ge:.3e}, gauss_b={gb:.3e}; each must be <= 1e-8)"
         )
-    return state
+    return state, prop, spectra, sample
 
 
 def plan_steps(grid: Grid, t_end: float, dt: float | None = None) -> tuple[int, float]:
@@ -374,6 +382,9 @@ class _Propagator:
     those of their conjugates (E + iB, ...), which turn the other way
     (Sn -> -Sn).  Built from the real fields' rfftn, the pair keeps real
     fields exactly real, so a field that is zero stays exactly zero.
+
+    One propagator serves a whole run; its t = 0 sample is both init_state's
+    constraint gate and the run's first record.
     """
 
     def __init__(self, grid: Grid):
@@ -386,7 +397,6 @@ class _Propagator:
         # Nyquist on the last axis stands for itself and its mirror -k.
         self.weight = np.full(grid.n // 2 + 1, 2.0)
         self.weight[[0, -1]] = 1.0
-        self.cells = math.prod(grid.shape)
 
     def spectra(self, state: FieldState):
         """((psi, chi, chi_t), (their conjugates)) spectra of a state."""
@@ -433,30 +443,22 @@ class _Propagator:
         return tuple(out)
 
     def _mean_sq(self, *spectra: np.ndarray) -> float:
-        """Grid mean of |f|^2, summed over the fields whose half-grid
-        spectra are given (with their components)."""
-        power = sum(float(np.sum(self.weight * (f.real**2 + f.imag**2)))
-                    for f in spectra)
-        return power / self.cells**2
-
-    def gauss(self, spectra) -> tuple[float, float]:
-        """(gauss_e, gauss_b) of the state the pair describes, by Parseval.
-        With G = i k.psi + chi_t (and G_c from the conjugates), (G + G_c)/2
-        is the spectrum of div E + d/dt Re chi and (G_c - G)/2 that of
-        i (div B - d/dt Im chi)."""
-        (psi, _, chi_t), (psi_c, _, chi_t_c) = spectra
-        k = self.space.k
-        g = 1j * (k[0] * psi[0] + k[1] * psi[1] + k[2] * psi[2]) + chi_t
-        g_c = 1j * (k[0] * psi_c[0] + k[1] * psi_c[1] + k[2] * psi_c[2]) + chi_t_c
-        return (math.sqrt(self._mean_sq(0.5 * (g + g_c))),
-                math.sqrt(self._mean_sq(0.5 * (g_c - g))))
+        """Grid mean of |f|^2, summed over the fields whose (mean-normalized)
+        half-grid spectra are given (with their components)."""
+        return sum(float(np.sum(self.weight * (f.real**2 + f.imag**2)))
+                   for f in spectra)
 
     def diagnostics(self, spectra, t: float) -> Diagnostics:
         """The diagnostics of the state the pair describes, read off its
-        spectra by Parseval, with no FFT."""
-        (psi, chi, _), (psi_c, chi_c, _) = spectra
+        spectra by Parseval, with no FFT.  With G = i k.psi + chi_t (and G_c
+        from the conjugates), (G + G_c)/2 is the spectrum of
+        div E + d/dt Re chi and (G_c - G)/2 that of i (div B - d/dt Im chi)."""
+        (psi, chi, chi_t), (psi_c, chi_c, chi_t_c) = spectra
         k = self.space.k
-        ge, gb = self.gauss(spectra)
+        g = 1j * (k[0] * psi[0] + k[1] * psi[1] + k[2] * psi[2]) + chi_t
+        g_c = 1j * (k[0] * psi_c[0] + k[1] * psi_c[1] + k[2] * psi_c[2]) + chi_t_c
+        ge = math.sqrt(self._mean_sq(0.5 * (g + g_c)))
+        gb = math.sqrt(self._mean_sq(0.5 * (g_c - g)))
         grad = [1j * ka * (0.5 * (chi + chi_c)) for ka in k]
         curl_j = math.sqrt(self._mean_sq(1j * (k[1] * grad[2] - k[2] * grad[1]),
                                          1j * (k[2] * grad[0] - k[0] * grad[2]),
@@ -515,9 +517,10 @@ def run(
     output_every = k records every k-th step (plus t = 0 and the final step);
     output_every = 0 records endpoints only.  Deterministic given inputs.
     The steps between two outputs are taken as one jump of the propagator
-    (see _Propagator), so the cost grows with the number of outputs.  Each
-    sample's diagnostics come from the propagator's spectra; a state is
-    transformed back to real space only when it is kept or written.
+    (see _Propagator), so the cost grows with the number of outputs.  The
+    initial state is transformed once; every sample comes from the
+    propagator's spectra, and a state returns to real space only when it is
+    kept or written.
 
     When out_dir is given, snapshots (.bin + .json sidecar) and a
     diagnostics.csv time series are written there.  keep_snapshots=False
@@ -527,9 +530,7 @@ def run(
     n_steps, dt_eff = plan_steps(grid, t_end, dt)
     _check_cfl(grid, dt_eff)
 
-    state0 = init_state(grid, scenario, chi_mode=chi_mode)
-    prop = _Propagator(grid)
-    spectra = prop.spectra(state0)
+    state0, prop, spectra, sample0 = _start(grid, scenario, chi_mode)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -540,7 +541,7 @@ def run(
 
     def record(pair, index: int) -> None:
         t = index * dt_eff
-        diags.append(prop.diagnostics(pair, t))
+        diags.append(sample0 if index == 0 else prop.diagnostics(pair, t))
         keep = keep_snapshots or index in (0, n_steps)
         if not (keep or out_path is not None):
             return  # a sample that is neither kept nor written stays spectral

@@ -193,10 +193,13 @@ def _cmd_simulate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # Only 1-D profiles need intermediate states; run keeps the endpoints.
+    profiles = grid.dims == 1 and args.format == "csv"
     final, diags, snapshots = chi_solver.run(
-        grid, scenario, t_end, dt, output_every, chi_mode=chi_mode, out_dir=out
+        grid, scenario, t_end, dt, output_every, chi_mode=chi_mode, out_dir=out,
+        keep_snapshots=profiles,
     )
-    if grid.dims == 1 and args.format == "csv":
+    if profiles:
         for i, snap in enumerate(snapshots):
             _write_profile_csv(out / f"profile_{i:06d}.csv", snap)
     last = diags[-1]
@@ -239,10 +242,8 @@ def _write_profile_csv(path: Path, state: chi_solver.FieldState) -> None:
     header = "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"
     cols = [z, *state.e, *state.b, state.chi_re, state.chi_im,
             state.chi_re_t, state.chi_im_t]
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    rows = np.column_stack(cols).tolist()
+    path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

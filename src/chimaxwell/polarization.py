@@ -136,6 +136,11 @@ def minkowski_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
 
 
+def _four_momentum(pol: Polarization4) -> np.ndarray:
+    """(E_p, p) of a mode, complex so that it mixes with u directly."""
+    return np.array([energy_of(pol.p, pol.mass), *pol.p], dtype=np.complex128)
+
+
 def _check_mass(m: float) -> None:
     if m <= 0.0:
         raise NonpositiveMass(
@@ -249,9 +254,7 @@ def ast_from_potential(pol: Polarization4, energy_sign: int) -> ASTField:
     of the plane wave u exp(-/+ ipx).  The time-like mode gives F = 0 exactly."""
     if energy_sign not in (-1, +1):
         raise ValueError("energy_sign must be +1 or -1")
-    p4 = np.empty(4, dtype=np.complex128)
-    p4[0] = energy_of(pol.p, pol.mass)
-    p4[1:] = pol.p
+    p4 = _four_momentum(pol)
     factor = -1j * energy_sign / (2.0 * pol.mass)
     return ASTField(factor * (np.outer(p4, pol.u) - np.outer(pol.u, p4)))
 
@@ -280,9 +283,7 @@ def proca_residual(pol: Polarization4, energy_sign: int = +1) -> float:
     """
     if energy_sign not in (-1, +1):
         raise ValueError("energy_sign must be +1 or -1")
-    p4 = np.empty(4, dtype=np.complex128)
-    p4[0] = energy_of(pol.p, pol.mass)
-    p4[1:] = pol.p
+    p4 = _four_momentum(pol)
     m = pol.mass
     psq = minkowski_product(p4, p4)
     pu = minkowski_product(p4, pol.u)
@@ -298,9 +299,7 @@ def normalization_change_check(pol: Polarization4) -> float:
     transverse modes, m^2-patterned for the time-like one, confirming the two
     normalizations describe the same system.
     """
-    p4 = np.empty(4, dtype=np.complex128)
-    p4[0] = energy_of(pol.p, pol.mass)
-    p4[1:] = pol.p
+    p4 = _four_momentum(pol)
     m = pol.mass
     u2 = 2.0 * m * pol.u
     psq = minkowski_product(p4, p4)

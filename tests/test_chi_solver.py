@@ -360,6 +360,29 @@ class TestSpectralDiagnostics:
         assert len(diags) == 6 and len(snaps) == 2
         assert calls == [final.t]
 
+    def test_energy_of_huge_fields_stays_finite(self):
+        # Mean-normalized spectra square to about amplitude^2; unnormalized
+        # ones (about n * amplitude) would overflow to inf here.
+        g = Grid(1024, TWO_PI, dims=1)
+        state = init_state(g, {"type": "custom",
+                               "params": {"chi_re": np.full(g.shape, 1e152)}})
+        energy = diagnostics(state).energy
+        assert np.isfinite(energy)
+        assert energy == pytest.approx(0.5e304 * g.length, rel=1e-14)
+
+    def test_run_transforms_the_initial_state_once(self, monkeypatch):
+        counts = dict.fromkeys(("__init__", "spectra", "diagnostics"), 0)
+        for name in counts:
+            def counting(*args, _name=name, _method=getattr(chi_solver._Propagator, name)):
+                counts[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(chi_solver._Propagator, name, counting)
+        g = Grid(16, TWO_PI, dims=3)
+        _, diags, _ = run(g, gaussian_scenario(TWO_PI / 8), 4 * cfl_bound(g), output_every=2)
+        # one kernel evaluation per sample: the gate's is the t = 0 record
+        assert counts == {"__init__": 1, "spectra": 1, "diagnostics": len(diags)}
+
 
 class TestVacuumReduction:
     def test_plane_wave_returns_after_one_period(self):

@@ -182,6 +182,45 @@ class TestSimulateCommand:
         header = profiles[0].read_text().split("\n")[0]
         assert header == "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"
 
+    def test_profiles_match_snapshots_bit_exactly(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--format", "csv"]) == 0
+        profiles = sorted(out.glob("profile_*.csv"))
+        snapshots = sorted(out.glob("snapshot_*.bin"))
+        assert len(profiles) == len(snapshots) == 8
+        for profile, snapshot in zip(profiles, snapshots):
+            state = chi_solver.load_snapshot(snapshot.with_suffix(""))
+            rows = profile.read_text().splitlines()[1:]
+            values = np.array([[float(v) for v in row.split(",")] for row in rows])
+            want = np.column_stack([np.arange(state.grid.n) * state.grid.dx,
+                                    *state.e, *state.b, state.chi_re, state.chi_im,
+                                    state.chi_re_t, state.chi_im_t])
+            assert np.array_equal(values, want)
+
+    @pytest.mark.parametrize("dims, fmt, kept", [(3, "json", False), (1, "csv", True)])
+    def test_keeps_intermediate_states_only_for_profiles(self, tmp_path, monkeypatch,
+                                                         dims, fmt, kept):
+        seen = []
+        run = chi_solver.run
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("keep_snapshots", True))  # run's default
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(chi_solver, "run", recording)
+        cfg = self.write_config(
+            tmp_path, grid={"n": 8, "L": 6.283185307179586, "dims": dims},
+            scenario={"type": "vacuum_planewave",
+                      "params": {"k": [0, 0, 1] if dims == 3 else [1]}},
+            dt=None, t_end=1.0, output_every=2)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--format", fmt]) == 0
+        assert seen == [kept]
+        assert (out / "summary.json").exists()
+
     @pytest.mark.parametrize("output_every", [0, 2])
     def test_summary_counts_every_step(self, tmp_path, output_every):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point: still 3 steps
