@@ -25,10 +25,13 @@ machine precision ("rot grad = 0" survives discretization verbatim), and a
 plane wave propagates with no spatial dispersion error.  The state evolves
 as the spectra of the paper's variables psi = E - iB and complex chi, where
 dpsi/dt = i curl psi - grad chi is the operator of (E + S.p) psi = p chi.
-Time stepping is classical RK4 under the bound dt <= 0.5 dx / (c sqrt(dims)),
-which sits well inside the RK4 imaginary-axis stability interval for the
-largest grid wavenumber.  The operator acts bin by bin, so `run` takes the
-steps between two outputs as one multiply by a power of the RK4 stability
+Each bin holds psi in the eigenbasis of S.k^: the helicity +1 and -1
+amplitudes, which are the transverse photon, and the eigenvalue-0 amplitude
+k^.psi, where chi enters.  Time stepping is classical RK4 under the bound
+dt <= 0.5 dx / (c sqrt(dims)), which sits well inside the RK4 imaginary-axis
+stability interval for the largest grid wavenumber.  The operator acts bin
+by bin and is diagonal on the helicity channels, so `run` takes the steps
+between two outputs as one multiply by a power of the RK4 stability
 polynomial (see _Propagator).  The system is linear, so no dealiasing is
 needed.
 
@@ -37,7 +40,8 @@ imaginary part -- magnetic-source mode -- is enabled by chi_mode="complex".
 
 A state is immutable between steps: `step` and `run` return fresh arrays and
 never write to their inputs, so snapshots handed to diagnostics or IO may be
-read concurrently with further stepping.
+read concurrently with further stepping.  Only the spectra a run keeps for
+itself are advanced in place.
 """
 
 from __future__ import annotations
@@ -250,7 +254,24 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     if chi_mode not in ("real", "complex"):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
     prop = _Propagator(grid)
-    space = prop.space
+    # The builder's grids (a Poisson potential, a phase) are gone by the
+    # time the state is transformed.
+    state = _initial_fields(prop.space, scenario, chi_mode)
+    spectra = prop.spectra(state)
+    sample = prop.diagnostics(spectra, 0.0)
+    ge, gb = sample.gauss_e_residual, sample.gauss_b_residual
+    # Written so that a NaN residual (non-finite input data) is rejected too.
+    if not (ge <= 1e-8 and gb <= 1e-8):
+        raise InconsistentScenario(
+            f"initial data violates the divergence constraints "
+            f"(gauss_e={ge:.3e}, gauss_b={gb:.3e}; each must be <= 1e-8)"
+        )
+    return state, prop, spectra, sample
+
+
+def _initial_fields(space: SpectralSpace, scenario: dict, chi_mode: str) -> FieldState:
+    """The scenario's t = 0 fields, before the constraint gate."""
+    grid = space.grid
     shape = grid.shape
     params = dict(scenario.get("params", {}))
     kind = scenario.get("type")
@@ -264,9 +285,11 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
         amplitude = float(params.get("amplitude", 1.0))
         pol = helicity_eigenvector(kvec, helicity)
         phase = _plane_phase(space, kvec)
-        psi = amplitude * pol.reshape((3,) + (1,) * grid.dims) * phase
-        e = psi.real.copy()
-        b = (-psi.imag).copy()
+        # Component by component: a (3, *shape) complex temporary here raised
+        # the peak RSS of later runs in the same process.
+        psi = [amplitude * c * phase for c in pol]
+        e = np.stack([c.real for c in psi])
+        b = np.stack([-c.imag for c in psi])
     elif kind == "chi_gaussian":
         width = float(params.get("width", grid.length / 16.0))
         amplitude = float(params.get("amplitude", 1.0))
@@ -329,17 +352,7 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
             "Im(chi) is nonzero; magnetic-source mode needs chi_mode='complex'"
         )
 
-    state = FieldState(grid, 0.0, e, b, chi_re, chi_im, chi_re_t, chi_im_t)
-    spectra = prop.spectra(state)
-    sample = prop.diagnostics(spectra, 0.0)
-    ge, gb = sample.gauss_e_residual, sample.gauss_b_residual
-    # Written so that a NaN residual (non-finite input data) is rejected too.
-    if not (ge <= 1e-8 and gb <= 1e-8):
-        raise InconsistentScenario(
-            f"initial data violates the divergence constraints "
-            f"(gauss_e={ge:.3e}, gauss_b={gb:.3e}; each must be <= 1e-8)"
-        )
-    return state, prop, spectra, sample
+    return FieldState(grid, 0.0, e, b, chi_re, chi_im, chi_re_t, chi_im_t)
 
 
 def plan_steps(grid: Grid, t_end: float, dt: float | None = None) -> tuple[int, float]:
@@ -366,22 +379,41 @@ class _Propagator:
     """s RK4 steps as one jump of the spectra of psi = E - iB, chi and chi_t.
 
     Per bin (p = k, E = i d/dt) the operator is (E + S.p) psi = p chi, that
-    is dpsi/dt = -k x psi - i k chi, where -k^ x = i (S.k^) squares to -1
-    on the part psi_T of psi transverse to k^ = k/|k|; (chi, chi_t) rotate
-    at frequency |k| and k^.psi - i chi_t/|k| stays fixed.  So s steps
+    is dpsi/dt = -k x psi - i k chi.  psi is held on the real orthonormal
+    triad (th^, ph^, k^) of the bin, with k^ = k/|k| (z^ at k = 0), as the
+    eigen-amplitudes of S.k^:
+
+        h+ = th^.psi - i ph^.psi  (helicity +1, h+ = -sqrt(2) e+^dagger psi)
+        h- = th^.psi + i ph^.psi  (helicity -1, h- =  sqrt(2) e-^dagger psi)
+        l  = k^.psi               (eigenvalue 0, where chi enters)
+
+    with e+ = -(th^ + i ph^)/sqrt(2), e- = (th^ - i ph^)/sqrt(2) the
+    `planewaves.helicity_eigenvector`s.  The triad is built without angles:
+    (cphi, sphi) = (kx, ky)/|k_perp| ((1, 0) on the z axis), sin_t =
+    |k_perp|/|k|, cos_t = k^z (1 at k = 0), th^ = (cphi cos_t, sphi cos_t,
+    -sin_t), ph^ = (-sphi, cphi, 0), k^ = (cphi sin_t, sphi sin_t, cos_t).
+    Projecting on it is two plane rotations, and a field along the z axis
+    keeps exactly zero components off it.
+
+    -k^ x = i (S.k^) turns h+ by e^{i|k|t} and h- by e^{-i|k|t}; (chi, chi_t)
+    rotate at frequency |k| and l - i chi_t/|k| stays fixed.  So s steps
     multiply by rho = r(i theta)^s, r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
     theta = |k| dt, C = Re rho, Sn = Im rho:
 
+        h+    <- rho h+,  h- <- conj(rho) h-
         chi   <- C chi + (Sn/|k|) chi_t
         chi_t <- -|k| Sn chi + C chi_t              (chi_t' below)
-        psi   <- C psi_T - Sn k^ x psi + k^ (k^.psi + i (chi_t' - chi_t)/|k|)
+        l     <- l + i (chi_t' - chi_t)/|k|
 
-    At k = 0, psi and chi_t stay put and chi <- chi + s dt chi_t.
+    At k = 0, rho = 1, psi and chi_t stay put and chi <- chi + s dt chi_t.
 
-    The full spectra live on two rfftn half-grids: psi, chi, chi_t, and
-    those of their conjugates (E + iB, ...), which turn the other way
-    (Sn -> -Sn).  Built from the real fields' rfftn, the pair keeps real
-    fields exactly real, so a field that is zero stays exactly zero.
+    The full spectra live on two rfftn half-grids, stacked as one array of
+    shape (2, 5, *half): (h+, h-, l, chi, chi_t) of psi, chi and chi_t, and
+    the same of their conjugates (E + iB, ...), which turn the other way
+    (rho and conj(rho) swap).  Built from the real fields' rfftn, the pair
+    keeps real fields exactly real, so a field that is zero stays exactly
+    zero.  `jump` advances such an array in place: a run's spectra are its
+    own, and every state handed out is a fresh transform of them.
 
     One propagator serves a whole run; its t = 0 sample is both init_state's
     constraint gate and the run's first record.
@@ -389,81 +421,146 @@ class _Propagator:
 
     def __init__(self, grid: Grid):
         self.space = SpectralSpace(grid)
+        kx, ky, kz = self.space.k
         self.kabs = np.sqrt(self.space.k2)
         self.inv_k = np.divide(1.0, self.kabs, out=np.zeros_like(self.kabs),
                                where=self.kabs > 0)
-        self.khat = [ka * self.inv_k for ka in self.space.k]
+        kperp = np.sqrt(kx * kx + ky * ky)
+        self.cphi = np.divide(kx, kperp, out=np.ones_like(kperp), where=kperp > 0)
+        self.sphi = np.divide(ky, kperp, out=np.zeros_like(kperp), where=kperp > 0)
+        self.sin_t = kperp * self.inv_k
+        self.cos_t = np.where(self.kabs > 0, kz * self.inv_k, 1.0)
         # Parseval on the rfftn half-grid: a column other than k = 0 and
         # Nyquist on the last axis stands for itself and its mirror -k.
         self.weight = np.full(grid.n // 2 + 1, 2.0)
         self.weight[[0, -1]] = 1.0
 
-    def spectra(self, state: FieldState):
-        """((psi, chi, chi_t), (their conjugates)) spectra of a state."""
-        e, b, re, im, re_t, im_t = (self.space.fwd(getattr(state, name))
-                                    for name in SNAPSHOT_FIELDS)
-        return ((e - 1j * b, re + 1j * im, re_t + 1j * im_t),
-                (e + 1j * b, re - 1j * im, re_t - 1j * im_t))
+    def _project(self, v):
+        """(th^.v, ph^.v, k^.v) of a vector spectrum v of shape (3, ...)."""
+        u = self.cphi * v[0] + self.sphi * v[1]  # the in-plane radial part
+        return (self.cos_t * u - self.sin_t * v[2], self.cphi * v[1] - self.sphi * v[0],
+                self.sin_t * u + self.cos_t * v[2])
+
+    def _real(self, p, m, v_k, scale: complex) -> np.ndarray:
+        """The real vector field with triad components
+        scale * ((p + m)/4, i (p - m)/4, v_k/2), component by component.
+        p, m and v_k are the sums (E, scale 1) or differences (B, scale i)
+        of h+, h- and l over the two halves; the call overwrites them."""
+        v_th = p + m
+        v_th *= 0.25 * scale
+        v_ph, scratch = np.subtract(p, m, out=p), m
+        v_ph *= 0.25j * scale
+        v_k *= 0.5 * scale
+        u = self.cos_t * v_th  # the in-plane radial part
+        u += np.multiply(self.sin_t, v_k, out=scratch)
+        inv, out = self.space.inv, np.empty((3, *self.space.grid.shape))
+        v_k *= self.cos_t
+        v_k -= np.multiply(self.sin_t, v_th, out=scratch)
+        out[2] = inv(v_k)
+        np.multiply(self.cphi, u, out=v_th)
+        v_th -= np.multiply(self.sphi, v_ph, out=scratch)
+        out[0] = inv(v_th)
+        u *= self.sphi
+        u += np.multiply(self.cphi, v_ph, out=scratch)
+        out[1] = inv(u)
+        return out
+
+    def spectra(self, state: FieldState) -> np.ndarray:
+        """The (2, 5, *half) pair of a state: (h+, h-, l, chi, chi_t) and
+        those of the conjugates, from the rfftn of E and B on the triad."""
+        fwd = self.space.fwd
+        e_th, e_ph, e_k = self._project(fwd(state.e))
+        b_th, b_ph, b_k = self._project(fwd(state.b))
+        out = np.empty((2, 5, *e_th.shape), dtype=np.complex128)
+        (hp, hm, ell, chi, chi_t), (hp_c, hm_c, ell_c, chi_c, chi_t_c) = out
+        # h+ = (E_th - B_ph) - i (B_th + E_ph), h-_c its partner with +i
+        p, iq = e_th - b_ph, 1j * (b_th + e_ph)
+        np.subtract(p, iq, out=hp)
+        np.add(p, iq, out=hm_c)
+        # h- = (E_th + B_ph) + i (E_ph - B_th), h+_c its partner with -i
+        p, iq = e_th + b_ph, 1j * (e_ph - b_th)
+        np.add(p, iq, out=hm)
+        np.subtract(p, iq, out=hp_c)
+        del p, iq, e_th, e_ph, b_th, b_ph
+        ib = 1j * b_k
+        np.subtract(e_k, ib, out=ell)
+        np.add(e_k, ib, out=ell_c)
+        del ib, e_k, b_k
+        for re, im, z, z_c in ((state.chi_re, state.chi_im, chi, chi_c),
+                               (state.chi_re_t, state.chi_im_t, chi_t, chi_t_c)):
+            re, i_im = fwd(re), 1j * fwd(im)
+            np.add(re, i_im, out=z)
+            np.subtract(re, i_im, out=z_c)
+        return out
 
     def state(self, spectra, t: float) -> FieldState:
-        """Real-space state at time t from the pair of spectra (B = -Im psi)."""
-        (psi, chi, chi_t), (psi_c, chi_c, chi_t_c) = spectra
+        """Real-space state at time t from the pair of spectra, field by
+        field: E = Re psi from the sums of the two halves, B = -Im psi from
+        their differences."""
+        (hp, hm, ell, chi, chi_t), (hp_c, hm_c, ell_c, chi_c, chi_t_c) = spectra
         inv = self.space.inv
+        e = self._real(hp + hp_c, hm + hm_c, ell + ell_c, 1.0)
+        b = self._real(hp - hp_c, hm - hm_c, ell - ell_c, 1j)
         return FieldState(
-            self.space.grid, t, inv(0.5 * (psi + psi_c)), inv(0.5j * (psi - psi_c)),
+            self.space.grid, t, e, b,
             inv(0.5 * (chi + chi_c)), inv(-0.5j * (chi - chi_c)),
             inv(0.5 * (chi_t + chi_t_c)), inv(-0.5j * (chi_t - chi_t_c)))
 
     def factors(self, s: int, dt: float) -> tuple[np.ndarray, ...]:
-        """(C, Sn, Sn/|k|, |k| Sn) for s steps of length dt; Sn/|k| takes
+        """(rho, C, Sn/|k|, |k| Sn) for s steps of length dt; Sn/|k| takes
         its k -> 0 limit s dt in the k = 0 bin."""
         theta = self.kabs * dt
         th2 = theta * theta
         rho = ((1.0 - th2 / 2.0 + th2 * th2 / 24.0)
                + 1j * theta * (1.0 - th2 / 6.0)) ** s
-        c, sn = rho.real.copy(), rho.imag.copy()
-        return c, sn, np.where(self.kabs > 0, sn * self.inv_k, s * dt), self.kabs * sn
+        c, sn = rho.real.copy(), rho.imag
+        return rho, c, np.where(self.kabs > 0, sn * self.inv_k, s * dt), self.kabs * sn
 
-    def jump(self, spectra, factors):
-        """The pair advanced by the steps `factors` was built for."""
-        c, sn, sn_over_k, k_sn = factors
-        kx, ky, kz = self.khat
-        out = []
-        for (psi, chi, chi_t), turn in zip(spectra, (sn, -sn)):
-            chi_new = c * chi + sn_over_k * chi_t
-            chi_t_new = c * chi_t - k_sn * chi
-            long = kx * psi[0] + ky * psi[1] + kz * psi[2]
-            # new longitudinal part less the C k^ (k^.psi) that C psi carries
-            shift = (1.0 - c) * long + 1j * self.inv_k * (chi_t_new - chi_t)
-            psi_new = np.empty_like(psi)
-            psi_new[0] = c * psi[0] - turn * (ky * psi[2] - kz * psi[1]) + kx * shift
-            psi_new[1] = c * psi[1] - turn * (kz * psi[0] - kx * psi[2]) + ky * shift
-            psi_new[2] = c * psi[2] - turn * (kx * psi[1] - ky * psi[0]) + kz * shift
-            out.append((psi_new, chi_new, chi_t_new))
-        return tuple(out)
+    def jump(self, spectra, factors) -> None:
+        """Advance the pair in place by the steps `factors` was built for:
+        one phase multiply per helicity channel, the (chi, chi_t) rotation
+        and the kick to l, with two temporaries per half."""
+        rho, c, sn_over_k, k_sn = factors
+        rho_c = rho.conj()
+        for (hp, hm, ell, chi, chi_t), (turn_p, turn_m) in zip(
+                spectra, ((rho, rho_c), (rho_c, rho))):
+            hp *= turn_p
+            hm *= turn_m
+            chi_t_new = c * chi_t
+            tmp = k_sn * chi
+            chi_t_new -= tmp
+            chi *= c
+            chi += np.multiply(sn_over_k, chi_t, out=tmp)
+            np.subtract(chi_t_new, chi_t, out=tmp)
+            tmp *= self.inv_k
+            tmp *= 1j
+            ell += tmp
+            chi_t[...] = chi_t_new
 
     def _mean_sq(self, *spectra: np.ndarray) -> float:
         """Grid mean of |f|^2, summed over the fields whose (mean-normalized)
-        half-grid spectra are given (with their components)."""
+        half-grid spectra are given."""
         return sum(float(np.sum(self.weight * (f.real**2 + f.imag**2)))
                    for f in spectra)
 
     def diagnostics(self, spectra, t: float) -> Diagnostics:
         """The diagnostics of the state the pair describes, read off its
-        spectra by Parseval, with no FFT.  With G = i k.psi + chi_t (and G_c
-        from the conjugates), (G + G_c)/2 is the spectrum of
-        div E + d/dt Re chi and (G_c - G)/2 that of i (div B - d/dt Im chi)."""
-        (psi, chi, chi_t), (psi_c, chi_c, chi_t_c) = spectra
+        spectra by Parseval, with no FFT.  With G = i |k| l + chi_t
+        (= i k.psi + chi_t, and G_c from the conjugates), (G + G_c)/2 is the
+        spectrum of div E + d/dt Re chi and (G_c - G)/2 that of
+        i (div B - d/dt Im chi).  The triad is orthonormal, so
+        |psi|^2 = (|h+|^2 + |h-|^2)/2 + |l|^2."""
+        (hp, hm, ell, chi, chi_t), (hp_c, hm_c, ell_c, chi_c, chi_t_c) = spectra
         k = self.space.k
-        g = 1j * (k[0] * psi[0] + k[1] * psi[1] + k[2] * psi[2]) + chi_t
-        g_c = 1j * (k[0] * psi_c[0] + k[1] * psi_c[1] + k[2] * psi_c[2]) + chi_t_c
+        g = 1j * (self.kabs * ell) + chi_t
+        g_c = 1j * (self.kabs * ell_c) + chi_t_c
         ge = math.sqrt(self._mean_sq(0.5 * (g + g_c)))
         gb = math.sqrt(self._mean_sq(0.5 * (g_c - g)))
         grad = [1j * ka * (0.5 * (chi + chi_c)) for ka in k]
-        curl_j = math.sqrt(self._mean_sq(1j * (k[1] * grad[2] - k[2] * grad[1]),
-                                         1j * (k[2] * grad[0] - k[0] * grad[2]),
-                                         1j * (k[0] * grad[1] - k[1] * grad[0])))
-        energy = 0.25 * self._mean_sq(psi, psi_c, chi, chi_c) * self.space.grid.volume
+        curl_j = math.sqrt(sum(self._mean_sq(1j * (k[a] * grad[b] - k[b] * grad[a]))
+                               for a, b in ((1, 2), (2, 0), (0, 1))))
+        energy = 0.25 * (0.5 * self._mean_sq(hp, hm, hp_c, hm_c)
+                         + self._mean_sq(ell, ell_c, chi, chi_c)) * self.space.grid.volume
         return Diagnostics(t, ge, gb, curl_j, 0.0, energy)
 
 
@@ -472,7 +569,8 @@ def step(state: FieldState, dt: float) -> FieldState:
     reversible to its accuracy order).  Raises CFLViolation beyond the bound."""
     _check_cfl(state.grid, dt)
     prop = _Propagator(state.grid)
-    spectra = prop.jump(prop.spectra(state), prop.factors(1, dt))
+    spectra = prop.spectra(state)
+    prop.jump(spectra, prop.factors(1, dt))
     return prop.state(spectra, state.t + dt)
 
 
@@ -555,10 +653,10 @@ def run(
     every = min(output_every, n_steps) if output_every > 0 else n_steps
     factors = prop.factors(every, dt_eff)
     for i in range(every, n_steps + 1, every):
-        spectra = prop.jump(spectra, factors)
+        prop.jump(spectra, factors)
         record(spectra, i)
     if n_steps % every:  # a shorter last jump lands on t_end
-        spectra = prop.jump(spectra, prop.factors(n_steps % every, dt_eff))
+        prop.jump(spectra, prop.factors(n_steps % every, dt_eff))
         record(spectra, n_steps)
 
     if out_path is not None:

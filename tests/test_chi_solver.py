@@ -1,5 +1,7 @@
 """Pseudo-spectral solver: constraints, oracles, reversibility, IO."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from chimaxwell.chi_solver import (
     write_diagnostics_csv,
 )
 from chimaxwell.errors import CFLViolation, ChiMaxwellError, InconsistentScenario
+from chimaxwell.planewaves import helicity_eigenvector
 
 TWO_PI = 2.0 * np.pi
 
@@ -284,6 +287,51 @@ class TestPropagatorOracle:
         assert state_distance(stepped, final) <= 1e-13 * state_norm(final)
 
 
+class TestHelicityBasis:
+    @pytest.mark.parametrize("n, dims", [(8, 3), (16, 1)])
+    def test_triad_matches_helicity_eigenvectors(self, n, dims):
+        # The propagator's projection of the unit vectors x^, y^, z^ gives
+        # the components of its triad (th^, ph^, k^) in every bin.
+        g = Grid(n, TWO_PI, dims=dims)
+        prop = chi_solver._Propagator(g)
+        half = prop.kabs.shape
+        units = np.eye(3).reshape((3, 3) + (1,) * len(half)) * np.ones(half)
+        th, ph, kh = (np.stack(axis) for axis in zip(*(prop._project(u) for u in units)))
+        k = np.stack(np.broadcast_arrays(*prop.space.k))
+        on_axis = 0
+        for idx in np.ndindex(*half):
+            kvec = k[(slice(None),) + idx]
+            if not kvec.any():
+                continue
+            th_b, ph_b, kh_b = (v[(slice(None),) + idx] for v in (th, ph, kh))
+            for want, got in ((helicity_eigenvector(kvec, 1), -(th_b + 1j * ph_b) / np.sqrt(2)),
+                              (helicity_eigenvector(kvec, -1), (th_b - 1j * ph_b) / np.sqrt(2)),
+                              (helicity_eigenvector(kvec, 0), kh_b)):
+                assert np.max(np.abs(got - want)) <= 1e-15
+            if kvec[0] == kvec[1] == 0.0:
+                on_axis += 1
+                assert th_b[1] == th_b[2] == ph_b[0] == ph_b[2] == kh_b[0] == kh_b[1] == 0.0
+        # kx = ky = 0 (or Nyquist, zeroed) and 0 < |kz| < Nyquist
+        assert on_axis == (4 if dims == 3 else 1) * (n // 2 - 1)
+
+    def test_exact_zeros_stay_exact(self):
+        # A 1-D chi pulse drives only E_z and Re chi: the transverse and
+        # magnetic fields and Im chi must stay exactly 0.0, not roundoff.
+        g = Grid(1024, TWO_PI, dims=1)
+        _, _, snaps = run(g, gaussian_scenario(TWO_PI / 16), 256 * cfl_bound(g),
+                          output_every=16)
+        assert len(snaps) == 17
+        for snap in snaps:
+            for field in (snap.e[0], snap.e[1], snap.b, snap.chi_im, snap.chi_im_t):
+                assert np.all(field == 0.0)
+            assert np.any(snap.e[2] != 0.0)
+        g3 = Grid(16, TWO_PI, dims=3)
+        _, _, snaps = run(g3, gaussian_scenario(TWO_PI / 8), 12 * cfl_bound(g3),
+                          output_every=4)
+        for snap in snaps:
+            assert np.all(snap.chi_im == 0.0) and np.all(snap.chi_im_t == 0.0)
+
+
 def violating_state(g, seed):
     """Random real fields that break both divergence constraints, with Im
     chi, built from low modes plus the k = 0 bin and the Nyquist bin of
@@ -382,6 +430,27 @@ class TestSpectralDiagnostics:
         _, diags, _ = run(g, gaussian_scenario(TWO_PI / 8), 4 * cfl_bound(g), output_every=2)
         # one kernel evaluation per sample: the gate's is the t = 0 record
         assert counts == {"__init__": 1, "spectra": 1, "diagnostics": len(diags)}
+
+    def test_builder_grids_are_freed_before_the_transform(self, monkeypatch):
+        # chi_gaussian's Poisson potential must be gone when the initial
+        # state is transformed, so it does not add to the start-up peak.
+        refs, alive = [], []
+        solve, spectra = SpectralSpace.solve_poisson, chi_solver._Propagator.spectra
+
+        def keeping(space, rhs):
+            phi = solve(space, rhs)
+            refs.append(weakref.ref(phi))
+            return phi
+
+        def checking(prop, state):
+            alive.append([ref() is not None for ref in refs])
+            return spectra(prop, state)
+
+        monkeypatch.setattr(SpectralSpace, "solve_poisson", keeping)
+        monkeypatch.setattr(chi_solver._Propagator, "spectra", checking)
+        g = Grid(16, TWO_PI, dims=3)
+        run(g, gaussian_scenario(TWO_PI / 8), 2 * cfl_bound(g))
+        assert alive == [[False]]
 
 
 class TestVacuumReduction:
@@ -517,6 +586,28 @@ class TestRunAndIO:
         assert (tmp_path / "diagnostics.csv").exists()
         assert (tmp_path / "snapshot_000000.bin").exists()
         assert (tmp_path / "snapshot_000000.json").exists()
+
+    def test_inputs_and_returned_states_are_never_written(self, tmp_path):
+        # The propagator advances its own spectra in place; no array handed
+        # in or handed out may change afterwards.
+        def bits(state):
+            return [getattr(state, name).tobytes() for name in chi_solver.SNAPSHOT_FIELDS]
+
+        g = Grid(16, TWO_PI, dims=3)
+        scenario = complex_chi_scenario(g)
+        state = init_state(g, scenario, chi_mode="complex")
+        before = bits(state)
+        step(state, cfl_bound(g))
+        assert bits(state) == before
+        _, _, snaps = run(g, scenario, 6 * cfl_bound(g), output_every=2,
+                          chi_mode="complex", out_dir=tmp_path)
+        assert len(snaps) == 4
+        for snap in snaps:
+            index = round(snap.t / cfl_bound(g))
+            loaded = load_snapshot(tmp_path / f"snapshot_{index:06d}")
+            assert loaded.t == snap.t
+            assert bits(loaded) == bits(snap)
+        assert bits(snaps[0]) == bits(init_state(g, scenario, chi_mode="complex"))
 
     def test_diagnostics_csv_roundtrip(self, tmp_path):
         diags = [Diagnostics(0.125, 1e-12, 2e-13, 3.7e-16, 0.0, 42.0625),
