@@ -206,16 +206,69 @@ def cfl_bound(grid: Grid) -> float:
     return 0.5 * grid.dx / (C_LIGHT * math.sqrt(grid.dims))
 
 
-def _mode_kvec(grid: Grid, modes) -> np.ndarray:
-    """Physical wavevector 2 pi m / L from integer mode numbers."""
-    modes = np.atleast_1d(np.asarray(modes, dtype=np.float64))
-    if grid.dims == 1:
-        if modes.size != 1:
-            raise ChiMaxwellError("1-D scenarios take a single integer mode number")
-        return np.array([0.0, 0.0, 2.0 * np.pi * modes[0] / grid.length])
-    if modes.size != 3:
-        raise ChiMaxwellError("3-D scenarios take three integer mode numbers")
-    return 2.0 * np.pi * modes / grid.length
+def _scenario_params(grid: Grid, scenario) -> tuple[str, dict]:
+    """(type, params) of a scenario, each param checked, converted and
+    defaulted here, so that a malformed value raises ChiMaxwellError
+    before any field is built."""
+    if not isinstance(scenario, dict):
+        raise ChiMaxwellError("scenario must be an object with 'type' and 'params'")
+    kind, raw = scenario.get("type"), scenario.get("params", {})
+    if not isinstance(raw, dict):
+        raise ChiMaxwellError("scenario params must be an object")
+
+    def numbers(name, default, count=None):
+        """A float, or with count an array of that many floats."""
+        value = raw.get(name, default)
+        try:
+            arr = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            arr = np.empty((0, 0))  # fails both checks below
+        if count is None and arr.ndim == 0:
+            return float(arr)
+        if count is not None and arr.ndim <= 1 and arr.size == count:
+            return arr.reshape(count)
+        what = "a number" if count is None else f"{count} numbers on a {grid.dims}-D grid"
+        raise ChiMaxwellError(f"scenario param {name!r} takes {what}, got {value!r}")
+
+    vector = (3, *grid.shape)
+    if kind in ("vacuum_planewave", "chi_planewave"):
+        modes = numbers("k", [0, 0, 1] if grid.dims == 3 else [1], 3 if grid.dims == 3 else 1)
+        if not np.all(np.isfinite(modes) & (modes == np.round(modes))):
+            raise ChiMaxwellError(f"mode numbers k must be integers, got {raw['k']!r}")
+        if kind == "chi_planewave" and not np.any(modes):
+            raise ChiMaxwellError("chi_planewave requires a nonzero mode")
+        kvec = 2.0 * np.pi * modes / grid.length
+        params = {"k": np.array([0.0, 0.0, kvec[0]]) if grid.dims == 1 else kvec,
+                  "amplitude": numbers("amplitude", 1.0)}
+        if kind == "vacuum_planewave":
+            helicity = raw.get("helicity", -1)
+            if helicity not in (1, -1):
+                raise ChiMaxwellError(f"helicity must be +1 or -1, got {helicity!r}")
+            params["helicity"] = int(helicity)
+    elif kind == "chi_gaussian":
+        params = {"width": numbers("width", grid.length / 16.0),
+                  "amplitude": numbers("amplitude", 1.0),
+                  "center": numbers("center", [grid.length / 2.0] * grid.dims, grid.dims)}
+        if not params["width"] > 0.0:
+            raise ChiMaxwellError(f"width must be positive, got {params['width']!r}")
+    elif kind == "custom":
+        params = {}  # a field left out stays zero
+        for name, shape in (("e", vector), ("b", vector), ("chi_re", grid.shape),
+                            ("chi_im", grid.shape), ("chi_re_t", grid.shape),
+                            ("chi_im_t", grid.shape)):
+            if raw.get(name) is None:
+                continue
+            try:
+                params[name] = np.array(raw[name], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ChiMaxwellError(f"custom field {name!r} must be an array of "
+                                      f"numbers") from None
+            if params[name].shape != shape:
+                raise ChiMaxwellError(f"custom field {name!r} has shape "
+                                      f"{params[name].shape}, expected {shape}")
+    else:
+        raise ChiMaxwellError(f"unknown scenario type {kind!r}")
+    return kind, params
 
 
 def _plane_phase(space: SpectralSpace, kvec: np.ndarray) -> np.ndarray:
@@ -253,10 +306,11 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     once and gated: the one start-up path of init_state and run."""
     if chi_mode not in ("real", "complex"):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
+    kind, params = _scenario_params(grid, scenario)
     prop = _Propagator(grid)
     # The builder's grids (a Poisson potential, a phase) are gone by the
     # time the state is transformed.
-    state = _initial_fields(prop.space, scenario, chi_mode)
+    state = _initial_fields(prop.space, kind, params, chi_mode)
     spectra = prop.spectra(state)
     sample = prop.diagnostics(spectra, 0.0)
     ge, gb = sample.gauss_e_residual, sample.gauss_b_residual
@@ -269,21 +323,18 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     return state, prop, spectra, sample
 
 
-def _initial_fields(space: SpectralSpace, scenario: dict, chi_mode: str) -> FieldState:
-    """The scenario's t = 0 fields, before the constraint gate."""
+def _initial_fields(space: SpectralSpace, kind: str, params: dict,
+                   chi_mode: str) -> FieldState:
+    """The t = 0 fields of a parsed scenario, before the constraint gate."""
     grid = space.grid
     shape = grid.shape
-    params = dict(scenario.get("params", {}))
-    kind = scenario.get("type")
 
     e, b = np.zeros((3, *shape)), np.zeros((3, *shape))
     chi_re, chi_im, chi_re_t, chi_im_t = (np.zeros(shape) for _ in range(4))
 
     if kind == "vacuum_planewave":
-        kvec = _mode_kvec(grid, params.get("k", [0, 0, 1] if grid.dims == 3 else [1]))
-        helicity = int(params.get("helicity", -1))
-        amplitude = float(params.get("amplitude", 1.0))
-        pol = helicity_eigenvector(kvec, helicity)
+        kvec, amplitude = params["k"], params["amplitude"]
+        pol = helicity_eigenvector(kvec, params["helicity"])
         phase = _plane_phase(space, kvec)
         # Component by component: a (3, *shape) complex temporary here raised
         # the peak RSS of later runs in the same process.
@@ -291,13 +342,9 @@ def _initial_fields(space: SpectralSpace, scenario: dict, chi_mode: str) -> Fiel
         e = np.stack([c.real for c in psi])
         b = np.stack([-c.imag for c in psi])
     elif kind == "chi_gaussian":
-        width = float(params.get("width", grid.length / 16.0))
-        amplitude = float(params.get("amplitude", 1.0))
-        center = params.get("center", [grid.length / 2.0] * grid.dims)
+        width, amplitude, center = params["width"], params["amplitude"], params["center"]
         coords = space.coordinates()
-        centers = (
-            [0.0, 0.0, center[0]] if grid.dims == 1 else list(map(float, center))
-        )
+        centers = [0.0, 0.0, center[0]] if grid.dims == 1 else list(center)
         # Periodized (image-summed) Gaussian: smooth on the torus, so its
         # spectrum decays like exp(-k^2 w^2 / 2) with no boundary kink.
         bump = np.ones(shape)
@@ -317,35 +364,18 @@ def _initial_fields(space: SpectralSpace, scenario: dict, chi_mode: str) -> Fiel
         phi = space.solve_poisson(chi_re_t / C_LIGHT)
         e = -space.grad(phi)
     elif kind == "chi_planewave":
-        kvec = _mode_kvec(grid, params.get("k", [0, 0, 1] if grid.dims == 3 else [1]))
-        amplitude = float(params.get("amplitude", 1.0))
+        kvec, amplitude = params["k"], params["amplitude"]
         knorm = float(np.linalg.norm(kvec))
-        if knorm == 0.0:
-            raise ChiMaxwellError("chi_planewave requires a nonzero mode")
         phase = _plane_phase(space, kvec)
         chi_re = amplitude * phase.real
         chi_re_t = amplitude * C_LIGHT * knorm * phase.imag  # d/dt cos(k.x - ckt) at t=0
         phi = space.solve_poisson(chi_re_t / C_LIGHT)
         e = -space.grad(phi)
-    elif kind == "custom":
-        def take(name, target):
-            value = params.get(name)
-            if value is None:
-                return target
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.shape != target.shape:
-                raise ChiMaxwellError(f"custom field {name!r} has shape {arr.shape}, "
-                                 f"expected {target.shape}")
-            return arr.copy()
-
-        e = take("e", e)
-        b = take("b", b)
-        chi_re = take("chi_re", chi_re)
-        chi_im = take("chi_im", chi_im)
-        chi_re_t = take("chi_re_t", chi_re_t)
-        chi_im_t = take("chi_im_t", chi_im_t)
-    else:
-        raise ChiMaxwellError(f"unknown scenario type {kind!r}")
+    else:  # "custom"
+        e, b = params.get("e", e), params.get("b", b)
+        chi_re, chi_im = params.get("chi_re", chi_re), params.get("chi_im", chi_im)
+        chi_re_t = params.get("chi_re_t", chi_re_t)
+        chi_im_t = params.get("chi_im_t", chi_im_t)
 
     if chi_mode == "real" and (np.any(chi_im != 0.0) or np.any(chi_im_t != 0.0)):
         raise InconsistentScenario(
@@ -625,6 +655,8 @@ def run(
     drops intermediate snapshots from the returned list (initial and final
     states are always kept) -- useful for dense diagnostics on large grids.
     """
+    if output_every < 0:
+        raise ChiMaxwellError(f"output_every must be >= 0, got {output_every!r}")
     n_steps, dt_eff = plan_steps(grid, t_end, dt)
     _check_cfl(grid, dt_eff)
 

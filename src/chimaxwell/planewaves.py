@@ -26,7 +26,13 @@ Contracting p with the extended first equation and using (S.p) p = 0 forces
 Conventions: natural units c = hbar = 1; helicity eigenvectors are built by
 the explicit rotation R_z(phi) R_y(theta) from the z-frame eigenvectors with
 phi = atan2(py, px) (phi = 0 on the z-axis), so all phases are deterministic.
-Everything here is pure and immutable.
+
+Batches: momenta and psi are (..., 3); energies, masses, energy signs,
+helicities and chi are (...,).  Each function is one array expression over
+those leading axes, so a batch of states costs one call, and a single state
+is its zero-batch case: residuals come back as numpy scalars (`float` and
+`complex` subclasses) and `on_shell` as a `bool`.  A check that fails for any
+member of a batch raises.  Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentumState:
-    """Kinematic record (E, p, m); natural units."""
+    """Kinematic record (E, p, m); natural units.  E and m are (...,), p is
+    (..., 3)."""
 
     energy: float
     p: np.ndarray
@@ -60,25 +67,29 @@ class MomentumState:
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
-        if self.p.shape != (3,):
+        if self.p.shape[-1:] != (3,):
             raise ValueError("p must be a 3-vector")
 
     def on_shell(self) -> bool:
-        gap = self.energy**2 - float(self.p @ self.p) - self.mass**2
-        return abs(gap) <= 1e-12 * max(1.0, self.energy**2)
+        """|E^2 - p^2 - m^2| <= 1e-12 max(1, E^2): a bool for one state, and
+        over a batch the same as nested lists (`ndarray.tolist`)."""
+        e2 = np.square(self.energy)
+        gap = e2 - _dot(self.p, self.p) - np.square(self.mass)
+        return (np.abs(gap) <= 1e-12 * np.maximum(1.0, e2)).tolist()
 
 
 @dataclass(frozen=True)
 class RSVector:
-    """Complex field amplitude psi = E - iB plus the scalar amplitude chi."""
+    """Complex field amplitude psi = E - iB, (..., 3), plus the scalar
+    amplitude chi, (...,)."""
 
     psi: np.ndarray
     chi: complex = 0j
 
     def __post_init__(self):
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=np.complex128))
-        object.__setattr__(self, "chi", complex(self.chi))
-        if self.psi.shape != (3,):
+        object.__setattr__(self, "chi", np.asarray(self.chi, dtype=np.complex128)[()])
+        if self.psi.shape[-1:] != (3,):
             raise ValueError("psi must be a complex 3-vector")
 
     @property
@@ -90,11 +101,23 @@ class RSVector:
         return -self.psi.imag.copy()
 
 
-_BASE_Z = {
-    +1: -np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
-    -1: np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0),
-    0: np.array([0.0, 0.0, 1.0], dtype=np.complex128),
-}
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.b over the last axis, without conjugation."""
+    return np.einsum("...k,...k->...", a, b)
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The 3x3 matrices m applied to the 3-vectors v, member by member."""
+    return np.einsum("...jk,...k->...j", m, v)
+
+
+# z-frame eigenvectors; row h holds helicity h, so row -1 is the last one
+_BASE_Z = np.array([
+    [0.0, 0.0, 1.0],
+    -np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
+    np.array([1.0, -1.0j, 0.0]) / np.sqrt(2.0),
+], dtype=np.complex128)
+_BASE_Z.flags.writeable = False
 
 
 def helicity_eigenvector(p: np.ndarray, helicity: int) -> np.ndarray:
@@ -104,19 +127,20 @@ def helicity_eigenvector(p: np.ndarray, helicity: int) -> np.ndarray:
     the azimuthal branch is atan2, with phi = 0 whenever px = py = 0.
     """
     p = np.asarray(p, dtype=np.float64)
-    norm = float(np.linalg.norm(p))
-    if norm == 0.0:
+    norm = np.linalg.norm(p, axis=-1)
+    if np.any(norm == 0.0):
         raise ZeroMomentum("helicity basis undefined at p = 0")
-    if helicity not in (-1, 0, 1):
+    if not np.isin(helicity, (-1, 0, 1)).all():
         raise ValueError("helicity must be one of -1, 0, +1")
-    theta = np.arccos(np.clip(p[2] / norm, -1.0, 1.0))
-    phi = np.arctan2(p[1], p[0])
+    theta = np.arccos(np.clip(p[..., 2] / norm, -1.0, 1.0))
+    phi = np.arctan2(p[..., 1], p[..., 0])
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
-        [[ct, 0.0, st], [0.0, 1.0, 0.0], [-st, 0.0, ct]]
-    )
-    return rot @ _BASE_Z[helicity]
+    zero = np.zeros_like(ct)
+    # R_z(phi) R_y(theta), entry by entry
+    rot = np.stack([cp * ct, -sp, cp * st, sp * ct, cp, sp * st, -st, zero, ct], axis=-1)
+    rot = rot.reshape(np.shape(ct) + (3, 3))
+    return _apply(rot, _BASE_Z[np.asarray(helicity, dtype=np.intp)])
 
 
 def factorization_residual(state: MomentumState, v: RSVector) -> float:
@@ -128,21 +152,23 @@ def factorization_residual(state: MomentumState, v: RSVector) -> float:
     1e-12 * (1 + E^2 + |p|^2) * |psi| for arbitrary, including off-shell,
     inputs.  chi plays no role here.
     """
-    e, p, psi = state.energy, state.p, v.psi
+    e = np.asarray(state.energy, dtype=np.float64)[..., None]
+    p, psi = state.p, v.psi
     sp = spin_dot_p(p)
-    lhs = (e * e - float(p @ p)) * psi
-    eye = np.eye(3)
-    rhs = (e * eye - sp) @ ((e * eye + sp) @ psi) - p * np.dot(p, psi)
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = (e * e - _dot(p, p)[..., None]) * psi
+    e_eye = e[..., None] * np.eye(3)
+    rhs = _apply(e_eye - sp, _apply(e_eye + sp, psi)) - p * _dot(p, psi)[..., None]
+    return np.max(np.abs(lhs - rhs), axis=-1)
 
 
 def standard_solution_residual(state: MomentumState, v: RSVector) -> tuple[float, float]:
     """(|(E I + S.p) psi|, |p.psi|) -- both vanish on the homogeneous
     transverse family."""
-    e, p, psi = state.energy, state.p, v.psi
-    first = np.linalg.norm(e * psi + spin_dot_p(p) @ psi)
-    second = abs(np.dot(p, psi))
-    return float(first), float(second)
+    e = np.asarray(state.energy, dtype=np.float64)[..., None]
+    p, psi = state.p, v.psi
+    first = np.linalg.norm(e * psi + _apply(spin_dot_p(p), psi), axis=-1)
+    second = np.abs(_dot(p, psi))
+    return first, second
 
 
 def generalized_solution_residual(state: MomentumState, v: RSVector) -> tuple[float, float]:
@@ -150,10 +176,12 @@ def generalized_solution_residual(state: MomentumState, v: RSVector) -> tuple[fl
 
     With chi = 0 this equals `standard_solution_residual` bit for bit.
     """
-    e, p, psi, chi = state.energy, state.p, v.psi, v.chi
-    first = np.linalg.norm(e * psi + spin_dot_p(p) @ psi - p * chi)
-    second = abs(np.dot(p, psi) - e * chi)
-    return float(first), float(second)
+    e = np.asarray(state.energy, dtype=np.float64)
+    p, psi, chi = state.p, v.psi, v.chi
+    first = np.linalg.norm(e[..., None] * psi + _apply(spin_dot_p(p), psi)
+                           - p * np.asarray(chi)[..., None], axis=-1)
+    second = np.abs(_dot(p, psi) - e * chi)
+    return first, second
 
 
 def build_generalized_planewave(
@@ -173,15 +201,17 @@ def build_generalized_planewave(
     The residual pair of the output is <= 1e-13 (scaled).
     """
     p = np.asarray(p, dtype=np.float64)
-    norm = float(np.linalg.norm(p))
-    if norm == 0.0:
+    norm = np.linalg.norm(p, axis=-1)
+    if np.any(norm == 0.0):
         raise ZeroMomentum("plane-wave construction requires |p| > 0")
-    if energy_sign not in (-1, +1):
+    sign = np.asarray(energy_sign)
+    if not np.isin(sign, (-1, +1)).all():
         raise ValueError("energy_sign must be +1 or -1")
-    energy = energy_sign * norm
-    e_h = helicity_eigenvector(p, -energy_sign)
-    psi = complex(transverse_amplitude) * e_h + (p / energy) * complex(chi)
-    return MomentumState(energy, p, 0.0), RSVector(psi, complex(chi))
+    energy = sign * norm
+    a = np.asarray(transverse_amplitude, dtype=np.complex128)[..., None]
+    chi = np.asarray(chi, dtype=np.complex128)
+    psi = a * helicity_eigenvector(p, -sign) + (p / energy[..., None]) * chi[..., None]
+    return MomentumState(energy, p, 0.0), RSVector(psi, chi)
 
 
 def chi_onshell_residual(state: MomentumState, v: RSVector) -> float:
@@ -194,10 +224,10 @@ def chi_onshell_residual(state: MomentumState, v: RSVector) -> float:
         If v is not a generalized solution within 1e-12 (scaled).
     """
     e, p = state.energy, state.p
-    scale = (1.0 + abs(e) + float(np.linalg.norm(p))) * max(
-        float(np.linalg.norm(v.psi)) + abs(v.chi), 1e-300
+    scale = (1.0 + np.abs(e) + np.linalg.norm(p, axis=-1)) * np.maximum(
+        np.linalg.norm(v.psi, axis=-1) + np.abs(v.chi), 1e-300
     )
     r1, r2 = generalized_solution_residual(state, v)
-    if max(r1, r2) > 1e-12 * scale:
+    if np.any(np.maximum(r1, r2) > 1e-12 * scale):
         raise PreconditionViolated("input does not solve the chi-extended pair")
-    return float(abs((e * e - float(p @ p)) * v.chi))
+    return np.abs((e * e - _dot(p, p)) * v.chi)

@@ -22,6 +22,13 @@ the longitudinal and time-like modes blow up like 1/m, while N = m tames the
 transverse modes to a finite limit.  `massless_scaling` measures the
 divergence order directly from the closed forms.
 
+Batches: momenta are (..., 3), masses (...,), polarization vectors (..., 4)
+and field-strength tensors (..., 4, 4); mode, kind and the energy sign of a
+triplet select a formula and stay scalar.  Each function is one array
+expression over the leading axes, so a batch costs one call, and a single
+momentum is its zero-batch case with numpy scalar results (`float` and
+`complex` subclasses).  A check that fails for any member of a batch raises.
+
 Pure functions over immutable values throughout.
 """
 
@@ -47,6 +54,7 @@ __all__ = [
     "MODES",
     "TRIPLET_MODES",
     "energy_of",
+    "four_momentum",
     "minkowski_product",
     "polarization_vector",
     "field_triplet",
@@ -75,12 +83,12 @@ class NormalizationScheme:
     factor: Callable[[float], float]
 
     def __call__(self, m: float) -> float:
-        return float(self.factor(m))
+        return np.asarray(self.factor(m), dtype=np.float64)[()]
 
 
 CONSTANT = NormalizationScheme("constant", lambda m: 1.0)
 MASS = NormalizationScheme("mass", lambda m: m)
-SQRT_MASS = NormalizationScheme("sqrt_mass", lambda m: math.sqrt(m))
+SQRT_MASS = NormalizationScheme("sqrt_mass", lambda m: np.sqrt(m))
 SCHEMES = {s.label: s for s in (CONSTANT, MASS, SQRT_MASS)}
 
 
@@ -114,38 +122,68 @@ class FieldTriplet:
 
 @dataclass(frozen=True)
 class ASTField:
-    """Antisymmetric field-strength amplitude F^{mu nu} (4x4, complex)."""
+    """Antisymmetric field-strength amplitude F^{mu nu} (..., 4, 4), complex."""
 
     f: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=np.complex128)
-        if f.shape != (4, 4) or not np.array_equal(f, -f.T):
+        if f.shape[-2:] != (4, 4) or not np.array_equal(f, -np.swapaxes(f, -1, -2)):
             raise ValueError("F must be a 4x4 exactly antisymmetric array")
         object.__setattr__(self, "f", f)
+
+
+def _stack(*components) -> np.ndarray:
+    """Components of shape (...,), broadcast and stacked on a last axis."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def _scaled(factor, *components) -> np.ndarray:
+    """factor (...,) times the components stacked on a last axis."""
+    return np.expand_dims(factor, -1) * _stack(*components)
+
+
+def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^mu b^nu - a^nu b^mu over the last axis, shape (..., 4, 4)."""
+    return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
 
 
 def energy_of(p: np.ndarray, m: float) -> float:
     """Positive-root energy E_p = sqrt(|p|^2 + m^2)."""
     p = np.asarray(p, dtype=np.float64)
-    return float(np.sqrt(p @ p + m * m))
+    return np.sqrt(np.einsum("...k,...k->...", p, p) + np.square(m))
+
+
+def four_momentum(p: np.ndarray, energy: float) -> np.ndarray:
+    """(energy, p) as a complex (..., 4) array, so that it mixes with u directly."""
+    return _stack(energy, *np.moveaxis(np.asarray(p, dtype=np.float64), -1, 0)).astype(
+        np.complex128)
 
 
 def minkowski_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """a^0 b^0 - a.b with no conjugation (conjugate an argument explicitly)."""
-    return complex(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
+    """a^0 b^0 - a.b over the last axis, with no conjugation (conjugate an
+    argument explicitly)."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    return a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2] \
+        - a[..., 3] * b[..., 3]
 
 
 def _four_momentum(pol: Polarization4) -> np.ndarray:
-    """(E_p, p) of a mode, complex so that it mixes with u directly."""
-    return np.array([energy_of(pol.p, pol.mass), *pol.p], dtype=np.complex128)
+    """(E_p, p) of a mode."""
+    return four_momentum(pol.p, energy_of(pol.p, pol.mass))
 
 
 def _check_mass(m: float) -> None:
-    if m <= 0.0:
+    if np.any(np.asarray(m) <= 0.0):
         raise NonpositiveMass(
             "modes are defined for m > 0; probe m -> 0 with massless_scaling"
         )
+
+
+def _check_sign(energy_sign: int) -> None:
+    if not np.isin(energy_sign, (-1, +1)).all():
+        raise ValueError("energy_sign must be +1 or -1")
 
 
 def polarization_vector(
@@ -161,53 +199,47 @@ def polarization_vector(
     p = np.asarray(p, dtype=np.float64)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    m = np.asarray(m, dtype=np.float64)
     n = scheme(m)
-    p1, p2, p3 = p
+    p1, p2, p3 = np.moveaxis(p, -1, 0)
     ep = energy_of(p, m)
     pr = p1 + 1j * p2
     pl = p1 - 1j * p2
     if mode == "+1":
-        u = -(n / (math.sqrt(2) * m)) * np.array(
-            [pr, m + p1 * pr / (ep + m), 1j * m + p2 * pr / (ep + m), p3 * pr / (ep + m)]
-        )
+        u = _scaled(-(n / (math.sqrt(2) * m)), pr, m + p1 * pr / (ep + m),
+                    1j * m + p2 * pr / (ep + m), p3 * pr / (ep + m))
     elif mode == "-1":
-        u = (n / (math.sqrt(2) * m)) * np.array(
-            [pl, m + p1 * pl / (ep + m), -1j * m + p2 * pl / (ep + m), p3 * pl / (ep + m)]
-        )
+        u = _scaled(n / (math.sqrt(2) * m), pl, m + p1 * pl / (ep + m),
+                    -1j * m + p2 * pl / (ep + m), p3 * pl / (ep + m))
     elif mode == "0":
-        u = (n / m) * np.array(
-            [p3, p1 * p3 / (ep + m), p2 * p3 / (ep + m), m + p3 * p3 / (ep + m)],
-            dtype=np.complex128,
-        )
+        u = _scaled(n / m, p3, p1 * p3 / (ep + m), p2 * p3 / (ep + m),
+                    m + p3 * p3 / (ep + m))
     else:  # "0_t"
-        u = (n / m) * np.array([ep, p1, p2, p3], dtype=np.complex128)
-    return Polarization4(u, mode, p, float(m), scheme)
+        u = _scaled(n / m, ep, p1, p2, p3)
+    return Polarization4(u, mode, p, m[()], scheme)
 
 
-def _printed_triplet(p: np.ndarray, mode: str, kind: str, m: float, n: float) -> np.ndarray:
+def _printed_triplet(p: np.ndarray, mode: str, kind: str, m, n) -> np.ndarray:
     """Positive-frequency closed forms of the B / E triplets."""
-    p1, p2, p3 = p
+    p1, p2, p3 = np.moveaxis(p, -1, 0)
     pr = p1 + 1j * p2
     pl = p1 - 1j * p2
     ep = energy_of(p, m)
     s2m = 2.0 * math.sqrt(2) * m
     if kind == "B":
         if mode == "+1":
-            return -(1j * n / s2m) * np.array([-1j * p3, p3, 1j * pr])
+            return _scaled(-(1j * (n / s2m)), -1j * p3, p3, 1j * pr)
         if mode == "0":
-            return (1j * n / (2 * m)) * np.array([p2, -p1, 0.0])
-        return (1j * n / s2m) * np.array([1j * p3, p3, -1j * pl])
+            return _scaled(1j * (n / (2 * m)), p2, -p1, 0.0)
+        return _scaled(1j * (n / s2m), 1j * p3, p3, -1j * pl)
     if mode == "+1":
-        return -(1j * n / s2m) * np.array(
-            [ep - p1 * pr / (ep + m), 1j * ep - p2 * pr / (ep + m), -p3 * pr / (ep + m)]
-        )
+        return _scaled(-(1j * (n / s2m)), ep - p1 * pr / (ep + m),
+                       1j * ep - p2 * pr / (ep + m), -p3 * pr / (ep + m))
     if mode == "0":
-        return (1j * n / (2 * m)) * np.array(
-            [-p1 * p3 / (ep + m), -p2 * p3 / (ep + m), ep - p3 * p3 / (ep + m)]
-        )
-    return (1j * n / s2m) * np.array(
-        [ep - p1 * pl / (ep + m), -1j * ep - p2 * pl / (ep + m), -p3 * pl / (ep + m)]
-    )
+        return _scaled(1j * (n / (2 * m)), -p1 * p3 / (ep + m), -p2 * p3 / (ep + m),
+                       ep - p3 * p3 / (ep + m))
+    return _scaled(1j * (n / s2m), ep - p1 * pl / (ep + m),
+                   -1j * ep - p2 * pl / (ep + m), -p3 * pl / (ep + m))
 
 
 def field_triplet(
@@ -240,10 +272,11 @@ def field_triplet(
     if energy_sign not in (-1, +1):
         raise ValueError("energy_sign must be +1 or -1")
     if energy_sign == +1:
+        m = np.asarray(m, dtype=np.float64)
         vec = _printed_triplet(p, mode, kind, m, scheme(m))
     else:
         pol = polarization_vector(p, mode, m, scheme)
-        conj = Polarization4(np.conj(pol.u), mode, p, float(m), scheme)
+        conj = Polarization4(np.conj(pol.u), mode, p, pol.mass, scheme)
         f = ast_from_potential(conj, -1)
         vec = magnetic_from_ast(f) if kind == "B" else electric_from_ast(f)
     return FieldTriplet(vec, kind, mode, energy_sign)
@@ -252,23 +285,22 @@ def field_triplet(
 def ast_from_potential(pol: Polarization4, energy_sign: int) -> ASTField:
     """Field-strength amplitude F^{mu nu} = (-/+ i / 2m)(p^mu u^nu - p^nu u^mu)
     of the plane wave u exp(-/+ ipx).  The time-like mode gives F = 0 exactly."""
-    if energy_sign not in (-1, +1):
-        raise ValueError("energy_sign must be +1 or -1")
-    p4 = _four_momentum(pol)
-    factor = -1j * energy_sign / (2.0 * pol.mass)
-    return ASTField(factor * (np.outer(p4, pol.u) - np.outer(pol.u, p4)))
+    _check_sign(energy_sign)
+    p4, u = _four_momentum(pol), pol.u
+    factor = -1j * np.asarray(energy_sign) / (2.0 * np.asarray(pol.mass))
+    return ASTField(factor[..., None, None] * _wedge(p4, u))
 
 
 def electric_from_ast(f: ASTField | np.ndarray) -> np.ndarray:
     """E_i = F^{i0}."""
     arr = f.f if isinstance(f, ASTField) else np.asarray(f)
-    return np.array([arr[1, 0], arr[2, 0], arr[3, 0]])
+    return arr[..., 1:, 0].copy()
 
 
 def magnetic_from_ast(f: ASTField | np.ndarray) -> np.ndarray:
     """B_i = -(1/2) eps_ijk F^{jk}."""
     arr = f.f if isinstance(f, ASTField) else np.asarray(f)
-    return np.array([-arr[2, 3], -arr[3, 1], -arr[1, 2]])
+    return -arr[..., (2, 3, 1), (3, 1, 2)]
 
 
 def proca_residual(pol: Polarization4, energy_sign: int = +1) -> float:
@@ -281,14 +313,13 @@ def proca_residual(pol: Polarization4, energy_sign: int = +1) -> float:
     (m/2) max|u^mu| exactly for the time-like mode, which solves only the
     dispersion relation, not the coupled system -- its spin-0 signature.
     """
-    if energy_sign not in (-1, +1):
-        raise ValueError("energy_sign must be +1 or -1")
-    p4 = _four_momentum(pol)
-    m = pol.mass
-    psq = minkowski_product(p4, p4)
-    pu = minkowski_product(p4, pol.u)
-    res = -(psq * pol.u - p4 * pu) / (2.0 * m) + (m / 2.0) * pol.u
-    return float(np.max(np.abs(res)))
+    _check_sign(energy_sign)
+    p4, u = _four_momentum(pol), pol.u
+    m = np.asarray(pol.mass)[..., None]
+    psq = minkowski_product(p4, p4)[..., None]
+    pu = minkowski_product(p4, u)[..., None]
+    res = -(psq * u - p4 * pu) / (2.0 * m) + (m / 2.0) * u
+    return np.max(np.abs(res), axis=-1)
 
 
 def normalization_change_check(pol: Polarization4) -> float:
@@ -300,12 +331,12 @@ def normalization_change_check(pol: Polarization4) -> float:
     normalizations describe the same system.
     """
     p4 = _four_momentum(pol)
-    m = pol.mass
+    m = np.asarray(pol.mass)[..., None]
     u2 = 2.0 * m * pol.u
-    psq = minkowski_product(p4, p4)
-    pu = minkowski_product(p4, u2)
+    psq = minkowski_product(p4, p4)[..., None]
+    pu = minkowski_product(p4, u2)[..., None]
     res = -(psq * u2 - p4 * pu) + m * m * u2
-    return float(np.max(np.abs(res)))
+    return np.max(np.abs(res), axis=-1)
 
 
 def phase_relation(
@@ -329,12 +360,16 @@ def phase_relation(
     opposite = {"+1": "-1", "-1": "+1", "0": "0"}[mode]
     plus = field_triplet(p, mode, kind, +1, m, scheme).vec
     minus = field_triplet(p, opposite, kind, -1, m, scheme).vec
-    norm_p, norm_m = np.linalg.norm(plus), np.linalg.norm(minus)
-    if min(norm_p, norm_m) <= 1e-13 * max(norm_p, norm_m, 1e-300):
-        raise DegenerateMode(f"{kind}({mode}) triplet vanishes at p = {p}")
-    i = int(np.argmax(np.abs(minus)))
-    ratio = complex(plus[i] / minus[i])
-    if np.max(np.abs(plus - ratio * minus)) > 1e-10 * norm_p:
+    norm_p = np.linalg.norm(plus, axis=-1)
+    norm_m = np.linalg.norm(minus, axis=-1)
+    vanishes = np.minimum(norm_p, norm_m) <= 1e-13 * np.maximum(
+        np.maximum(norm_p, norm_m), 1e-300)
+    if np.any(vanishes):
+        where = np.broadcast_to(np.asarray(p, dtype=np.float64), plus.shape)[vanishes]
+        raise DegenerateMode(f"{kind}({mode}) triplet vanishes at p = {where[0]}")
+    i = np.argmax(np.abs(minus), axis=-1)[..., None]
+    ratio = np.take_along_axis(plus, i, -1)[..., 0] / np.take_along_axis(minus, i, -1)[..., 0]
+    if np.any(np.max(np.abs(plus - ratio[..., None] * minus), axis=-1) > 1e-10 * norm_p):
         raise DegenerateMode("componentwise ratio is not constant")
     return ratio
 
@@ -350,16 +385,15 @@ def massless_scaling(
     Slope -1 flags a 1/m divergence of the mode in the massless limit (the
     obstruction to setting m = 0 directly); slope 0 a finite limit.  The
     default ladder 1e-1 .. 1e-6 exposes the asymptote while staying clear of
-    double-precision underflow in the 1/m^2 terms.
+    double-precision underflow in the 1/m^2 terms.  p is one momentum; the
+    ladder is the batch of a single `polarization_vector` call.
     """
     p = np.asarray(p, dtype=np.float64)
-    if float(np.linalg.norm(p)) == 0.0:
+    if np.linalg.norm(p) == 0.0:
         raise ZeroMomentum("massless scan requires |p| > 0")
-    norms = [
-        float(np.linalg.norm(polarization_vector(p, mode, m, scheme).u)) for m in masses
-    ]
-    slope = np.polyfit(np.log(np.asarray(masses)), np.log(np.asarray(norms)), 1)[0]
-    return float(slope)
+    masses = np.asarray(masses, dtype=np.float64)
+    norms = np.linalg.norm(polarization_vector(p, mode, masses, scheme).u, axis=-1)
+    return float(np.polyfit(np.log(masses), np.log(norms), 1)[0])
 
 
 def ast_gauge_transform(
@@ -375,24 +409,17 @@ def ast_gauge_transform(
     description, distinct from the potential gauge A -> A + d phi.
     """
     lam = np.asarray(gauge_vector, dtype=np.complex128)
-    p4 = np.empty(4, dtype=np.complex128)
-    p4[0] = energy
-    p4[1:] = np.asarray(p, dtype=np.float64)
-    delta = -1j * (np.outer(lam, p4) - np.outer(p4, lam))  # -i (p^nu L^mu - p^mu L^nu)
-    return ASTField(f.f + delta)
+    # -i (p^nu L^mu - p^mu L^nu)
+    return ASTField(f.f - 1j * _wedge(lam, four_momentum(p, energy)))
 
 
 def mode_gram(
     p: np.ndarray, m: float, scheme: NormalizationScheme = MASS
 ) -> np.ndarray:
-    """Gram matrix g_{mu nu} u^mu(a) u^nu(b)* over the four modes.
+    """Gram matrix g_{mu nu} u^mu(a) u^nu(b)* over the four modes, (..., 4, 4).
 
     With N = m the pattern is diag(-m^2, -m^2, -m^2, +m^2) in the order
     ("+1", "-1", "0", "0_t"); all off-diagonal entries vanish.
     """
-    us = [polarization_vector(p, mode, m, scheme).u for mode in MODES]
-    g = np.empty((4, 4), dtype=np.complex128)
-    for a in range(4):
-        for b in range(4):
-            g[a, b] = minkowski_product(us[a], np.conj(us[b]))
-    return g
+    us = np.stack([polarization_vector(p, mode, m, scheme).u for mode in MODES], axis=-2)
+    return minkowski_product(us[..., :, None, :], np.conj(us[..., None, :, :]))

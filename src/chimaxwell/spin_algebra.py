@@ -20,6 +20,14 @@ Other texts transpose the matrices; exactly one convention is exported here
 and everything downstream (plane-wave builders, the spectral solver's field
 initializers) uses it.
 
+Batches
+-------
+Every identity holds separately for each momentum, so the functions take
+leading batch axes: momenta and psi are (..., 3), pt is (...,), and results
+carry the batch shape.  A single momentum is the zero-batch case of the same
+expression and returns plain numpy scalars (`float` subclasses); a
+precondition that fails for any member of a batch raises.
+
 All functions are pure and every returned array is freshly allocated, so the
 module is safe for unrestricted concurrent use.
 """
@@ -31,6 +39,7 @@ import numpy as np
 from .errors import PreconditionViolated
 
 __all__ = [
+    "EPSILON",
     "levi_civita",
     "build_spin_matrices",
     "spin_dot_p",
@@ -48,9 +57,11 @@ def levi_civita(i: int, j: int, k: int) -> int:
     return (j - i) * (k - j) * (k - i) // 2
 
 
-# (S_i)^{jk} = i eps^{jik}, built once; read-only, so callers get copies
-_SPIN = np.array([[[1j * levi_civita(j, i, k) for k in range(3)] for j in range(3)]
-                  for i in range(3)], dtype=np.complex128)
+# eps_ijk and (S_i)^{jk} = i eps^{jik}, built once; read-only, so callers get copies
+EPSILON = np.array([[[levi_civita(i, j, k) for k in range(3)] for j in range(3)]
+                    for i in range(3)], dtype=np.float64)
+EPSILON.flags.writeable = False
+_SPIN = 1j * EPSILON.transpose(1, 0, 2)
 _SPIN.flags.writeable = False
 
 
@@ -60,13 +71,20 @@ def build_spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def spin_dot_p(p: np.ndarray) -> np.ndarray:
-    """Helicity operator S.p = sum_i p_i S_i.
+    """Helicity operator S.p = sum_i p_i S_i, shape (..., 3, 3).
 
     Hermitian with spectrum {+|p|, 0, -|p|}; acts as (S.p) v = i p x v.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)[..., None, None]
     sx, sy, sz = _SPIN
-    return p[0] * sx + p[1] * sy + p[2] * sz
+    return p[..., 0, :, :] * sx + p[..., 1, :, :] * sy + p[..., 2, :, :] * sz
+
+
+def _s_cross_p(p: np.ndarray) -> np.ndarray:
+    """[S x p]^{i,jm} = eps^{ikl} (S_k)^{jm} p_l, shape (..., 3, 3, 3).
+
+    Every entry is a single product, so the contraction is exact."""
+    return np.einsum("ikl,kjm,...l->...ijm", EPSILON, _SPIN, p)
 
 
 def annihilation_residual(p: np.ndarray) -> float:
@@ -76,7 +94,7 @@ def annihilation_residual(p: np.ndarray) -> float:
     since each component is a difference of identical products).
     """
     p = np.asarray(p, dtype=np.float64)
-    return float(np.linalg.norm(spin_dot_p(p) @ p.astype(np.complex128)))
+    return np.linalg.norm(np.einsum("...jk,...k->...j", spin_dot_p(p), p), axis=-1)
 
 
 def product_identity_residual(axis, p: np.ndarray) -> float:
@@ -90,23 +108,17 @@ def product_identity_residual(axis, p: np.ndarray) -> float:
     i = _AXES[axis]
     p = np.asarray(p, dtype=np.float64)
     lhs = _SPIN[i] @ spin_dot_p(p)
-
-    s_cross_p = np.zeros((3, 3), dtype=np.complex128)
-    for k in range(3):
-        for l in range(3):
-            e = levi_civita(i, k, l)
-            if e:
-                s_cross_p += e * _SPIN[k] * p[l]
-    rhs = p[i] * np.eye(3) - 1j * s_cross_p
-    rhs[i, :] -= p
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = p[..., i, None, None] * np.eye(3) - 1j * _s_cross_p(p)[..., i, :, :]
+    rhs[..., i, :] -= p
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
 def dirac_chain_residual(
     p: np.ndarray, pt: float, psi: np.ndarray
 ) -> tuple[float, float, float]:
     """Residuals of the three equations obtained from {pt I + S.p} psi = 0
-    by left-multiplying with S_x, S_y, S_z and reducing the products:
+    by left-multiplying with S_x, S_y, S_z and reducing the products with the
+    product identity:
 
         {p_x + S_x pt - i S_y p_z + i S_z p_y} psi - (p.psi) e_x = 0,
 
@@ -120,26 +132,24 @@ def dirac_chain_residual(
         If psi fails {pt I + S.p} psi = 0 or p.psi = 0 beyond 1e-12 (scaled).
     """
     p = np.asarray(p, dtype=np.float64)
+    pt = np.asarray(pt, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.complex128)
-    sx, sy, sz = _SPIN
-    sp = spin_dot_p(p)
 
-    scale = 1e-12 * (1.0 + abs(pt) + np.linalg.norm(p)) * max(np.linalg.norm(psi), 1e-300)
-    if np.linalg.norm(pt * psi + sp @ psi) > scale:
+    scale = 1e-12 * (1.0 + np.abs(pt) + np.linalg.norm(p, axis=-1)) * np.maximum(
+        np.linalg.norm(psi, axis=-1), 1e-300)
+    first_order = pt[..., None] * psi + np.einsum("...jk,...k->...j", spin_dot_p(p), psi)
+    if np.any(np.linalg.norm(first_order, axis=-1) > scale):
         raise PreconditionViolated("psi does not solve {pt I + S.p} psi = 0")
-    if abs(np.dot(p, psi)) > scale:
+    p_dot_psi = np.einsum("...k,...k->...", p, psi)
+    if np.any(np.abs(p_dot_psi) > scale):
         raise PreconditionViolated("psi is not transverse: p.psi != 0")
 
-    p_dot_psi = np.dot(p.astype(np.complex128), psi)
-    residuals = []
-    cyclic = ((0, sx, sy, sz), (1, sy, sz, sx), (2, sz, sx, sy))
-    for i, s_i, s_next, s_prev in cyclic:
-        vec = (p[i] * psi + pt * (s_i @ psi)
-               - 1j * p[(i + 2) % 3] * (s_next @ psi)
-               + 1j * p[(i + 1) % 3] * (s_prev @ psi))
-        vec[i] -= p_dot_psi
-        residuals.append(float(np.linalg.norm(vec)))
-    return residuals[0], residuals[1], residuals[2]
+    # row i: p^i psi + pt S_i psi - i [S x p]^i psi - (p.psi) e_i
+    vec = (p[..., :, None] * psi[..., None, :]
+           + pt[..., None, None] * np.einsum("ijk,...k->...ij", _SPIN, psi)
+           - 1j * np.einsum("...ijk,...k->...ij", _s_cross_p(p), psi))
+    vec -= p_dot_psi[..., None, None] * np.eye(3)
+    return tuple(np.moveaxis(np.linalg.norm(vec, axis=-1), -1, 0))
 
 
 def singularity_report() -> tuple[float, float, float]:

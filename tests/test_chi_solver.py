@@ -552,6 +552,11 @@ class TestRunAndIO:
         assert snaps[0].t == 0.0
         assert snaps[-1].t == pytest.approx(final.t)
 
+    def test_negative_output_every_rejected(self):
+        g = Grid(16, TWO_PI, dims=1)
+        with pytest.raises(ChiMaxwellError, match="output_every"):
+            run(g, vacuum_scenario([1]), 10 * cfl_bound(g), output_every=-3)
+
     def test_run_is_deterministic(self):
         g = Grid(32, TWO_PI, dims=1)
         out1 = run(g, gaussian_scenario(TWO_PI / 10), 5 * cfl_bound(g))

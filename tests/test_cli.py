@@ -269,9 +269,22 @@ class TestSimulateCommand:
         pytest.param({"grid": {"n": 8, "L": 1.0, "dims": 1}, "t_end": 0.1,
                       "scenario": {"type": "custom", "params": {"chi_re": [1e200] * 8}}},
                      marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+        {"scenario": "chi_gaussian"},
+        {"scenario": {"type": "chi_gaussian", "params": [1, 2]}},
+        {"scenario": {"type": "chi_gaussian", "params": {"width": 0}}},
+        {"scenario": {"type": "chi_gaussian", "params": {"width": "a"}}},
+        {"scenario": {"type": "custom", "params": {"chi_re": "x"}}},
+        {"grid": {"n": 8, "L": 6.283185307179586, "dims": 3},
+         "scenario": {"type": "chi_gaussian", "params": {"center": [1.0]}}},
+        {"scenario": {"type": "vacuum_planewave", "params": {"k": [1], "helicity": 2}}},
+        {"scenario": {"type": "vacuum_planewave", "params": {"k": [0.5]}}},
+        {"output_every": -3},
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
             "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
-            "infinite-energy"])
+            "infinite-energy", "scenario-not-object", "params-not-object",
+            "zero-width", "non-numeric-width", "non-numeric-custom-field",
+            "short-3d-center", "helicity-two", "fractional-mode-number",
+            "negative-output-every"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:
