@@ -25,9 +25,9 @@ machine precision ("rot grad = 0" survives discretization verbatim), and a
 plane wave propagates with no spatial dispersion error.  The state evolves
 as the spectra of the paper's variables psi = E - iB and complex chi, where
 dpsi/dt = i curl psi - grad chi is the operator of (E + S.p) psi = p chi.
-Each bin holds psi in the eigenbasis of S.k^: the helicity +1 and -1
-amplitudes, which are the transverse photon, and the eigenvalue-0 amplitude
-k^.psi, where chi enters.  Time stepping is classical RK4 under the bound
+Each bin holds psi in the S.k^ eigenbasis of `planewaves.helicity_triad`:
+helicity +1 and -1 (the photon) and eigenvalue 0 (k^.psi, where chi
+enters).  Time stepping is classical RK4 under the bound
 dt <= 0.5 dx / (c sqrt(dims)), which sits well inside the RK4 imaginary-axis
 stability interval for the largest grid wavenumber.  The operator acts bin
 by bin and is diagonal on the helicity channels, so `run` takes the steps
@@ -48,13 +48,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CFLViolation, ChiMaxwellError, InconsistentScenario
-from .planewaves import helicity_eigenvector
+from .planewaves import helicity_eigenvector, helicity_triad
 
 __all__ = [
     "C_LIGHT",
@@ -80,8 +81,9 @@ SNAPSHOT_FIELDS = ("e", "b", "chi_re", "chi_im", "chi_re_t", "chi_im_t")
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic grid: n points per axis (power of two, n >= 8), box length L,
-    1 or 3 spatial dimensions.  The 1-D case varies along z."""
+    """Periodic grid: n points per axis (power of two, n >= 8), box length L
+    in [1e-100, 1e100], which keeps the volume and every wavenumber squared
+    finite and nonzero, and 1 or 3 spatial dimensions (1-D varies along z)."""
 
     n: int
     length: float
@@ -92,8 +94,8 @@ class Grid:
             raise ValueError("n must be a power of two with n >= 8")
         if self.dims not in (1, 3):
             raise ValueError("dims must be 1 or 3")
-        if not self.length > 0:
-            raise ValueError("box length must be positive")
+        if not 1e-100 <= self.length <= 1e100:
+            raise ValueError(f"box length must lie in [1e-100, 1e100], got {self.length!r}")
 
     @property
     def dx(self) -> float:
@@ -306,13 +308,18 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     once and gated: the one start-up path of init_state and run."""
     if chi_mode not in ("real", "complex"):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
+    # One state, 10 float64 fields per cell, bounds a run's memory from below.
+    if 80 * int(grid.n) ** grid.dims > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ChiMaxwellError(f"one {grid.dims}-D n={grid.n} state exceeds the physical memory")
     kind, params = _scenario_params(grid, scenario)
     prop = _Propagator(grid)
     # The builder's grids (a Poisson potential, a phase) are gone by the
-    # time the state is transformed.
-    state = _initial_fields(prop.space, kind, params, chi_mode)
-    spectra = prop.spectra(state)
-    sample = prop.diagnostics(spectra, 0.0)
+    # time the state is transformed.  Non-finite data raises no warning
+    # here: the gate below rejects it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        state = _initial_fields(prop.space, kind, params, chi_mode)
+        spectra = prop.spectra(state)
+        sample = prop.diagnostics(spectra, 0.0)
     ge, gb = sample.gauss_e_residual, sample.gauss_b_residual
     # Written so that a NaN residual (non-finite input data) is rejected too.
     if not (ge <= 1e-8 and gb <= 1e-8):
@@ -396,6 +403,8 @@ def plan_steps(grid: Grid, t_end: float, dt: float | None = None) -> tuple[int, 
     elif not dt > 0:
         raise ChiMaxwellError("dt must be positive")
     n_steps = max(1, math.ceil(t_end / dt - 1e-9))
+    if n_steps > 2**53:  # beyond it, t_end / dt is no exact count of steps
+        raise ChiMaxwellError(f"t_end / dt asks for {n_steps:.3g} steps, more than 2**53")
     return n_steps, t_end / n_steps
 
 
@@ -409,21 +418,14 @@ class _Propagator:
     """s RK4 steps as one jump of the spectra of psi = E - iB, chi and chi_t.
 
     Per bin (p = k, E = i d/dt) the operator is (E + S.p) psi = p chi, that
-    is dpsi/dt = -k x psi - i k chi.  psi is held on the real orthonormal
-    triad (th^, ph^, k^) of the bin, with k^ = k/|k| (z^ at k = 0), as the
-    eigen-amplitudes of S.k^:
+    is dpsi/dt = -k x psi - i k chi.  psi is held on the bin's
+    `planewaves.helicity_triad` (th^, ph^, k^) as the eigen-amplitudes of
+    S.k^, with e+ and e- the `helicity_eigenvector`s on that triad (so
+    projecting on it is two plane rotations):
 
         h+ = th^.psi - i ph^.psi  (helicity +1, h+ = -sqrt(2) e+^dagger psi)
         h- = th^.psi + i ph^.psi  (helicity -1, h- =  sqrt(2) e-^dagger psi)
         l  = k^.psi               (eigenvalue 0, where chi enters)
-
-    with e+ = -(th^ + i ph^)/sqrt(2), e- = (th^ - i ph^)/sqrt(2) the
-    `planewaves.helicity_eigenvector`s.  The triad is built without angles:
-    (cphi, sphi) = (kx, ky)/|k_perp| ((1, 0) on the z axis), sin_t =
-    |k_perp|/|k|, cos_t = k^z (1 at k = 0), th^ = (cphi cos_t, sphi cos_t,
-    -sin_t), ph^ = (-sphi, cphi, 0), k^ = (cphi sin_t, sphi sin_t, cos_t).
-    Projecting on it is two plane rotations, and a field along the z axis
-    keeps exactly zero components off it.
 
     -k^ x = i (S.k^) turns h+ by e^{i|k|t} and h- by e^{-i|k|t}; (chi, chi_t)
     rotate at frequency |k| and l - i chi_t/|k| stays fixed.  So s steps
@@ -444,22 +446,12 @@ class _Propagator:
     keeps real fields exactly real, so a field that is zero stays exactly
     zero.  `jump` advances such an array in place: a run's spectra are its
     own, and every state handed out is a fresh transform of them.
-
-    One propagator serves a whole run; its t = 0 sample is both init_state's
-    constraint gate and the run's first record.
     """
 
     def __init__(self, grid: Grid):
         self.space = SpectralSpace(grid)
-        kx, ky, kz = self.space.k
-        self.kabs = np.sqrt(self.space.k2)
-        self.inv_k = np.divide(1.0, self.kabs, out=np.zeros_like(self.kabs),
-                               where=self.kabs > 0)
-        kperp = np.sqrt(kx * kx + ky * ky)
-        self.cphi = np.divide(kx, kperp, out=np.ones_like(kperp), where=kperp > 0)
-        self.sphi = np.divide(ky, kperp, out=np.zeros_like(kperp), where=kperp > 0)
-        self.sin_t = kperp * self.inv_k
-        self.cos_t = np.where(self.kabs > 0, kz * self.inv_k, 1.0)
+        (self.cphi, self.sphi, self.cos_t, self.sin_t,
+         self.kabs, self.inv_k) = helicity_triad(*self.space.k)
         # Parseval on the rfftn half-grid: a column other than k = 0 and
         # Nyquist on the last axis stands for itself and its mirror -k.
         self.weight = np.full(grid.n // 2 + 1, 2.0)
@@ -749,9 +741,5 @@ def write_diagnostics_csv(path: str | Path, diags: list[Diagnostics]) -> None:
     """CSV time series: t, gauss_e, gauss_b, curl_j, continuity, energy.
     Floats are written with repr for exact round trips."""
     lines = ["t,gauss_e,gauss_b,curl_j,continuity,energy"]
-    for d in diags:
-        lines.append(",".join(repr(float(v)) for v in (
-            d.t, d.gauss_e_residual, d.gauss_b_residual,
-            d.curl_j_residual, d.continuity_residual, d.energy,
-        )))
+    lines += [",".join(repr(float(v)) for v in astuple(d)) for d in diags]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -167,8 +167,21 @@ def _cmd_planewave(args) -> int:
 def _load_config(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise ChiMaxwellError(f"cannot read config {path}: {exc}") from exc
+
+
+_REQUIRED = object()
+
+
+def _number(table: dict, key: str, default=_REQUIRED, integer: bool = False):
+    """table[key] (default if given and the key is absent), checked to be a
+    JSON integer (integer=True) or a JSON number; a bool is neither."""
+    value = table[key] if default is _REQUIRED else table.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ChiMaxwellError(f"{key!r} takes {'an integer' if integer else 'a number'}, "
+                              f"got {value!r}")
+    return value if integer else float(value)
 
 
 def _cmd_simulate(args) -> int:
@@ -176,19 +189,19 @@ def _cmd_simulate(args) -> int:
     try:
         grid_cfg = cfg["grid"]
         grid = chi_solver.Grid(
-            n=int(grid_cfg["n"]),
-            length=float(grid_cfg["L"]),
-            dims=int(grid_cfg.get("dims", 3)),
+            n=_number(grid_cfg, "n", integer=True),
+            length=_number(grid_cfg, "L"),
+            dims=_number(grid_cfg, "dims", 3, integer=True),
         )
         scenario = cfg["scenario"]
         # Physical-unit ingestion: internal time is (length unit) / c.
-        c_phys = float(cfg.get("c", 1.0))
-        t_end = float(cfg["t_end"]) * c_phys
+        c_phys = _number(cfg, "c", 1.0)
+        t_end = _number(cfg, "t_end") * c_phys
         dt = cfg.get("dt")
-        dt = float(dt) * c_phys if dt is not None else None
-        output_every = int(cfg.get("output_every", 0))
+        dt = _number(cfg, "dt") * c_phys if dt is not None else None
+        output_every = _number(cfg, "output_every", 0, integer=True)
         chi_mode = cfg.get("chi_mode", "real")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ChiMaxwellError(f"bad scenario config: {exc}") from exc
 
     out = Path(args.out)

@@ -23,6 +23,7 @@ from chimaxwell.chi_solver import (
 )
 from chimaxwell.errors import CFLViolation, ChiMaxwellError, InconsistentScenario
 from chimaxwell.planewaves import helicity_eigenvector
+from chimaxwell.spin_algebra import spin_dot_p
 
 TWO_PI = 2.0 * np.pi
 
@@ -313,6 +314,30 @@ class TestHelicityBasis:
                 assert th_b[1] == th_b[2] == ph_b[0] == ph_b[2] == kh_b[0] == kh_b[1] == 0.0
         # kx = ky = 0 (or Nyquist, zeroed) and 0 < |kz| < Nyquist
         assert on_axis == (4 if dims == 3 else 1) * (n // 2 - 1)
+
+    @pytest.mark.parametrize("n, dims", [(8, 3), (16, 1)])
+    def test_triad_solves_helicity_eigen_equation(self, n, dims):
+        # Independent of helicity_eigenvector: in every nonzero bin the
+        # helicity vectors built on the propagator's triad satisfy
+        # (S.k^) e_h = h e_h, with S.k^ from spin_algebra, and are orthonormal.
+        g = Grid(n, TWO_PI, dims=dims)
+        prop = chi_solver._Propagator(g)
+        half = prop.kabs.shape
+        units = np.eye(3).reshape((3, 3) + (1,) * len(half)) * np.ones(half)
+        th, ph, kh = (np.moveaxis(np.stack(axis), 0, -1)
+                      for axis in zip(*(prop._project(u) for u in units)))
+        k = np.moveaxis(np.stack(np.broadcast_arrays(*prop.space.k)), 0, -1)
+        nonzero = np.any(k != 0.0, axis=-1)
+        k, th, ph, kh = (a[nonzero] for a in (k, th, ph, kh))
+        assert len(k) == np.prod(half) - 2**dims  # k = 0 and the zeroed Nyquist bins
+        s_dot_khat = spin_dot_p(k / np.linalg.norm(k, axis=-1, keepdims=True))
+        basis = {1: -(th + 1j * ph) / np.sqrt(2), -1: (th - 1j * ph) / np.sqrt(2), 0: kh}
+        for h, e in basis.items():
+            assert np.max(np.abs(np.einsum("bij,bj->bi", s_dot_khat, e) - h * e)) <= 1e-15
+        for h1, e1 in basis.items():
+            for h2, e2 in basis.items():
+                gram = np.einsum("bi,bi->b", e1.conj(), e2)
+                assert np.max(np.abs(gram - (h1 == h2))) <= 1e-15
 
     def test_exact_zeros_stay_exact(self):
         # A 1-D chi pulse drives only E_z and Re chi: the transverse and

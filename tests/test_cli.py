@@ -1,10 +1,17 @@
 """Command-line interface: files, round trips, determinism, exit codes."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chimaxwell import chi_solver
 from chimaxwell.cli import _write_json, main
@@ -279,12 +286,26 @@ class TestSimulateCommand:
         {"scenario": {"type": "vacuum_planewave", "params": {"k": [1], "helicity": 2}}},
         {"scenario": {"type": "vacuum_planewave", "params": {"k": [0.5]}}},
         {"output_every": -3},
+        {"grid": {"n": 16.5, "L": 6.283185307179586, "dims": 1}},
+        {"grid": {"n": 16, "L": 6.283185307179586, "dims": True}},
+        {"output_every": 2.5},
+        {"grid": {"n": 16, "L": "6.283185307179586", "dims": 1}},
+        {"t_end": True},
+        {"dt": "0.02"},
+        {"c": True},
+        {"grid": {"n": 8, "L": 1e300, "dims": 3}, "scenario": {"type": "chi_gaussian"}},
+        {"grid": {"n": 16, "L": 10**400, "dims": 1}},
+        {"t_end": 1e300, "output_every": 0},
+        {"scenario": {"type": "chi_planewave", "params": {"k": [1], "amplitude": float("inf")}}},
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
             "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
             "infinite-energy", "scenario-not-object", "params-not-object",
             "zero-width", "non-numeric-width", "non-numeric-custom-field",
             "short-3d-center", "helicity-two", "fractional-mode-number",
-            "negative-output-every"])
+            "negative-output-every", "fractional-n", "bool-dims",
+            "fractional-output-every", "string-L", "bool-t-end", "string-dt",
+            "bool-c", "huge-3d-L", "L-beyond-float", "over-2**53-steps",
+            "infinite-amplitude"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:
@@ -297,13 +318,109 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "summary.json").exists()
 
+    def test_state_exceeding_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 3-D n=4096 is 5.5 TB a state: rejected before any grid array exists
+        def unreachable(grid):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(chi_solver, "SpectralSpace", unreachable)
+        cfg = self.write_config(tmp_path, grid={"n": 4096, "L": 1.0, "dims": 3},
+                                scenario={"type": "chi_gaussian"}, dt=None)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "physical memory" in err and err.count("\n") == 1
+        assert not (tmp_path / "summary.json").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_cfl_violation_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, dt=5.0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+ABSENT = object()
+NOT_NUMBERS = st.sampled_from([True, False, None, "1", [1], {"a": 1}])
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+# Wrong types, non-finite and out-of-range values, and absent keys.  A step
+# count beyond 2**53 is out of range; a legal but long run is left out.
+BAD = {
+    "grid": NOT_NUMBERS,
+    "n": st.one_of(NOT_NUMBERS, st.sampled_from([ABSENT, 0, 4, 12, -16, 16.0, 2**40])),
+    "L": st.one_of(NOT_NUMBERS, NON_FINITE,
+                   st.sampled_from([ABSENT, 0.0, -1.0, 1e-300, 1e300, 10**400])),
+    "dims": st.one_of(NOT_NUMBERS, st.sampled_from([0, 2, 1.5, 3.0])),
+    "scenario": st.one_of(NOT_NUMBERS, st.sampled_from([
+        ABSENT, {"type": "nope"}, {"type": "custom", "params": {"chi_re": "x"}},
+        {"type": "vacuum_planewave", "params": {"helicity": 0}},
+        {"type": "chi_planewave", "params": {"k": [0.5]}}]),
+        st.builds(lambda kind, name, value: {"type": kind, "params": {name: value}},
+                  st.sampled_from(["vacuum_planewave", "chi_planewave", "chi_gaussian"]),
+                  st.sampled_from(["amplitude", "width", "k", "center", "helicity"]),
+                  st.one_of(NOT_NUMBERS, NON_FINITE, st.floats(-2.0, 2.0),
+                            st.just([1e300] * 3)))),
+    "t_end": st.one_of(NOT_NUMBERS, NON_FINITE, st.sampled_from([ABSENT, 0.0, -1.0, 1e300])),
+    "dt": st.one_of(NOT_NUMBERS, NON_FINITE, st.sampled_from([0, -0.1, 1e-300, 10.0])),
+    "c": st.one_of(NOT_NUMBERS, NON_FINITE, st.sampled_from([0.0, -1.0])),
+    "output_every": st.one_of(NOT_NUMBERS, NON_FINITE, st.sampled_from([-1, 2.5, 10**30])),
+    "chi_mode": st.sampled_from(["imaginary", 1, None]),
+}
+
+
+@st.composite
+def simulate_configs(draw):
+    """A legal config of at most ~60 steps with up to three keys spoiled."""
+    cfg = {
+        "grid": {"n": draw(st.sampled_from([8, 16])),
+                 "L": draw(st.sampled_from([6.283185307179586, 1.0])),
+                 "dims": draw(st.sampled_from([1, 3]))},
+        "scenario": draw(st.sampled_from([
+            {"type": "vacuum_planewave"}, {"type": "chi_planewave"},
+            {"type": "vacuum_planewave", "params": {"helicity": 1, "amplitude": 0.5}},
+            {"type": "chi_gaussian", "params": {"width": 1.0}},
+            {"type": "custom", "params": {}}])),
+        "t_end": draw(st.floats(0.01, 0.3)),
+        "dt": draw(st.one_of(st.none(), st.floats(0.02, 0.2))),
+        "c": draw(st.floats(1.0, 2.0)),
+        "output_every": draw(st.integers(0, 4)),
+        "chi_mode": draw(st.sampled_from(["real", "complex"])),
+    }
+    cfg = copy.deepcopy(cfg)  # sampled values are shared between examples
+    for key in draw(st.lists(st.sampled_from(sorted(BAD)), max_size=3, unique=True)):
+        owner = cfg["grid"] if key in ("n", "L", "dims") and isinstance(cfg["grid"], dict) else cfg
+        value = draw(BAD[key])
+        if value is ABSENT:
+            owner.pop(key, None)
+        else:
+            owner[key] = copy.deepcopy(value)
+    return cfg
+
+
+class TestSimulateConfigProperty:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=simulate_configs())
+    def test_any_config_exits_zero_or_two(self, cfg):
+        # exit 2 comes with one stderr line and no summary.json
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["simulate", "--config", str(path), "--out", str(out)])
+            assert code in (0, 2)
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert not (out / "summary.json").exists()
+            else:
+                assert (out / "summary.json").exists()
 
 
 def write_nan_summary(base):

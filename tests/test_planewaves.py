@@ -55,6 +55,22 @@ class TestHelicityEigenvector:
         e = helicity_eigenvector(np.array([1.0, 0.0, 0.0]), -1)
         assert np.allclose(e, np.array([0.0, -1.0j, -1.0]) / np.sqrt(2), atol=1e-15)
 
+    @pytest.mark.parametrize("p, closed_forms", [
+        # R_z(phi) R_y(theta) of the z-frame eigenvectors at exact angles:
+        # (theta, phi) = (0, 0), (pi, 0), (pi/2, 0), (pi/2, pi), (pi/2, +-pi/2)
+        ((0, 0, 1), {1: (-1, -1j, 0), -1: (1, -1j, 0), 0: (0, 0, 1)}),
+        ((0, 0, -1), {1: (1, -1j, 0), -1: (-1, -1j, 0), 0: (0, 0, -1)}),
+        ((1, 0, 0), {1: (0, -1j, 1), -1: (0, -1j, -1), 0: (1, 0, 0)}),
+        ((-1, 0, 0), {1: (0, 1j, 1), -1: (0, 1j, -1), 0: (-1, 0, 0)}),
+        ((0, 1, 0), {1: (1j, 0, 1), -1: (1j, 0, -1), 0: (0, 1, 0)}),
+        ((0, -1, 0), {1: (-1j, 0, 1), -1: (-1j, 0, -1), 0: (0, -1, 0)}),
+    ], ids=["+z", "-z", "+x", "-x", "+y", "-y"])
+    def test_axis_closed_forms_exact(self, p, closed_forms):
+        # bit for bit, so every component off the closed form is exactly 0
+        for h, want in closed_forms.items():
+            want = np.array(want, dtype=complex) / (1.0 if h == 0 else np.sqrt(2))
+            assert np.all(helicity_eigenvector(np.array(p, dtype=float), h) == want)
+
     def test_eigenvector_property_random(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
