@@ -452,10 +452,9 @@ class _Propagator:
         self.space = SpectralSpace(grid)
         (self.cphi, self.sphi, self.cos_t, self.sin_t,
          self.kabs, self.inv_k) = helicity_triad(*self.space.k)
-        # Parseval on the rfftn half-grid: a column other than k = 0 and
-        # Nyquist on the last axis stands for itself and its mirror -k.
-        self.weight = np.full(grid.n // 2 + 1, 2.0)
-        self.weight[[0, -1]] = 1.0
+        # The real and imaginary parts of the k = 0 and Nyquist columns of
+        # the last axis in a spectrum's float64 view (see _mean_sq).
+        self.edges = [0, 1, grid.n, grid.n + 1]
 
     def _project(self, v):
         """(th^.v, ph^.v, k^.v) of a vector spectrum v of shape (3, ...)."""
@@ -560,10 +559,21 @@ class _Propagator:
             chi_t[...] = chi_t_new
 
     def _mean_sq(self, *spectra: np.ndarray) -> float:
-        """Grid mean of |f|^2, summed over the fields whose (mean-normalized)
-        half-grid spectra are given."""
-        return sum(float(np.sum(self.weight * (f.real**2 + f.imag**2)))
-                   for f in spectra)
+        """Grid mean of |f|^2, summed over the fields whose (mean-normalized,
+        C-contiguous) half-grid spectra are given.  By Parseval a column
+        other than k = 0 and Nyquist on the last axis stands for itself and
+        its mirror -k: with s the sum of squares over all bins and e that
+        over those two columns, the mean is s + (s - e), in that order, so
+        it overflows no sooner than the real-space sum, and to inf (not to
+        inf - inf).  Two dot products over the float64 view, and no
+        temporary but the edge columns."""
+        total = 0.0
+        for f in spectra:
+            x = f.view(np.float64)
+            edges = x[..., self.edges]
+            s, e = float(np.vdot(x, x)), float(np.vdot(edges, edges))
+            total += s + (s - e) if s < math.inf else s
+        return total
 
     def diagnostics(self, spectra, t: float) -> Diagnostics:
         """The diagnostics of the state the pair describes, read off its
@@ -578,8 +588,11 @@ class _Propagator:
         g_c = 1j * (self.kabs * ell_c) + chi_t_c
         ge = math.sqrt(self._mean_sq(0.5 * (g + g_c)))
         gb = math.sqrt(self._mean_sq(0.5 * (g_c - g)))
-        grad = [1j * ka * (0.5 * (chi + chi_c)) for ka in k]
-        curl_j = math.sqrt(sum(self._mean_sq(1j * (k[a] * grad[b] - k[b] * grad[a]))
+        # curl grad Re chi = -k x (k Re chi): the factors of i are exact and
+        # drop out of |.|^2, so k_a Re chi is formed once per axis.
+        re_chi = 0.5 * (chi + chi_c)
+        grad = [ka * re_chi for ka in k]
+        curl_j = math.sqrt(sum(self._mean_sq(k[a] * grad[b] - k[b] * grad[a])
                                for a, b in ((1, 2), (2, 0), (0, 1))))
         energy = 0.25 * (0.5 * self._mean_sq(hp, hm, hp_c, hm_c)
                          + self._mean_sq(ell, ell_c, chi, chi_c)) * self.space.grid.volume

@@ -213,16 +213,20 @@ def _cmd_simulate(args) -> int:
         keep_snapshots=profiles,
     )
     if profiles:
+        z = _column_text(np.arange(grid.n) * grid.dx)  # the same in every profile
         for i, snap in enumerate(snapshots):
-            _write_profile_csv(out / f"profile_{i:06d}.csv", snap)
+            _write_profile_csv(out / f"profile_{i:06d}.csv", snap, z)
     last = diags[-1]
     first = snapshots[0]
-    num = np.sqrt(np.mean((final.e - first.e) ** 2 + (final.b - first.b) ** 2)
-                  + np.mean((final.chi_re - first.chi_re) ** 2
-                            + (final.chi_im - first.chi_im) ** 2))
-    den = np.sqrt(np.mean(first.e ** 2 + first.b ** 2)
-                  + np.mean(first.chi_re ** 2 + first.chi_im ** 2))
-    l2_change = num / max(den, 1e-300)
+    # Fields that overflow here make the summary non-finite, which its
+    # strict writer rejects with the one error line; no warning besides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = np.sqrt(np.mean((final.e - first.e) ** 2 + (final.b - first.b) ** 2)
+                      + np.mean((final.chi_re - first.chi_re) ** 2
+                                + (final.chi_im - first.chi_im) ** 2))
+        den = np.sqrt(np.mean(first.e ** 2 + first.b ** 2)
+                      + np.mean(first.chi_re ** 2 + first.chi_im ** 2))
+        l2_change = num / max(den, 1e-300)
     summary = {
         "steps": chi_solver.plan_steps(grid, t_end, dt)[0],
         "t_end": final.t / c_phys,
@@ -250,13 +254,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_profile_csv(path: Path, state: chi_solver.FieldState) -> None:
-    z = np.arange(state.grid.n) * state.grid.dx
+def _column_text(column: np.ndarray) -> list[str]:
+    """repr of every value of a float64 column.  A column of +0.0 bits only
+    (not -0.0, which prints as such) is "0.0" throughout, unformatted."""
+    if not column.view(np.uint64).any():
+        return ["0.0"] * column.size
+    return list(map(repr, column.tolist()))
+
+
+def _write_profile_csv(path: Path, state: chi_solver.FieldState, z: list[str]) -> None:
+    """One 1-D profile, built column by column; z is `_column_text` of the
+    grid coordinates."""
     header = "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"
-    cols = [z, *state.e, *state.b, state.chi_re, state.chi_im,
-            state.chi_re_t, state.chi_im_t]
-    rows = np.column_stack(cols).tolist()
-    path.write_text("\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
+    cols = [z, *map(_column_text, [*state.e, *state.b, state.chi_re, state.chi_im,
+                                   state.chi_re_t, state.chi_im_t])]
+    path.write_text("\n".join([header, *map(",".join, zip(*cols))]) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

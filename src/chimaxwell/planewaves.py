@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated, ZeroMomentum
+from .errors import ChiMaxwellError, PreconditionViolated, ZeroMomentum
 from .spin_algebra import spin_dot_p
 
 __all__ = [
@@ -112,6 +112,19 @@ def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...jk,...k->...j", m, v)
 
 
+def _momentum(p) -> np.ndarray:
+    """p as float64, rejected unless p.p is finite (so no component is NaN
+    or infinite, and |p| stays below ~1.3e154), before any arithmetic on it
+    can overflow."""
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(_dot(p, p))
+    if not finite.all():
+        raise ChiMaxwellError("momentum p.p is not finite (a component is NaN or "
+                              "infinite, or |p| exceeds ~1.3e154)")
+    return p
+
+
 def helicity_triad(kx, ky, kz) -> tuple[np.ndarray, ...]:
     """(cphi, sphi, cos_t, sin_t, |k|, 1/|k|) of wavevectors k, broadcast
     over the components: the angle-free triad th^ = (cphi cos_t, sphi cos_t,
@@ -136,9 +149,10 @@ def helicity_eigenvector(p: np.ndarray, helicity: int) -> np.ndarray:
     """Unit eigenvector of S.p_hat with eigenvalue `helicity` in {+1, -1, 0}:
     e_0 = p^ and e_h = (-h th^ - i ph^)/sqrt(2) on the `helicity_triad` of p,
     which is R_z(phi) R_y(theta) applied to the z-frame eigenvectors with
-    phi = atan2(py, px), phi = 0 whenever px = py = 0.
+    phi = atan2(py, px), phi = 0 whenever px = py = 0.  A momentum whose
+    p.p is not finite raises ChiMaxwellError.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _momentum(p)
     cphi, sphi, cos_t, sin_t, norm, _ = helicity_triad(p[..., 0], p[..., 1], p[..., 2])
     if np.any(norm == 0.0):
         raise ZeroMomentum("helicity basis undefined at p = 0")
@@ -206,9 +220,10 @@ def build_generalized_planewave(
 
     where e_h is the helicity eigenvector with (S.p_hat) e_h = -energy_sign e_h
     (the homogeneous transverse mode) and the longitudinal part carries chi.
-    The residual pair of the output is <= 1e-13 (scaled).
+    The residual pair of the output is <= 1e-13 (scaled).  A momentum whose
+    p.p is not finite raises ChiMaxwellError.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _momentum(p)
     norm = np.linalg.norm(p, axis=-1)
     if np.any(norm == 0.0):
         raise ZeroMomentum("plane-wave construction requires |p| > 0")

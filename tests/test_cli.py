@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chimaxwell import chi_solver
-from chimaxwell.cli import _write_json, main
+from chimaxwell.cli import _column_text, _write_json, _write_profile_csv, main
 from chimaxwell.errors import ChiMaxwellError
 from chimaxwell.polarization import energy_of
 
@@ -155,6 +155,26 @@ class TestPlanewaveCommand:
     def test_zero_momentum_exit_code(self, tmp_path):
         assert main(["planewave", "--p", "0,0,0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("p", ["1e200,0,0", "0,0,-1e155", "nan,0,0", "0,inf,1"])
+    def test_non_finite_p_squared_exit_code(self, tmp_path, capsys, p):
+        # one error line and no warning before it
+        assert main(["planewave", "--p", p, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "planewave.json").exists()
+
+
+PROFILE_HEADER = "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"
+
+
+def row_wise_profile(state):
+    """The text of a state's profile, row by row with repr: the reference
+    for the column-wise writer, down to the sign of a zero."""
+    z = np.arange(state.grid.n) * state.grid.dx
+    rows = np.column_stack([z, *state.e, *state.b, state.chi_re, state.chi_im,
+                            state.chi_re_t, state.chi_im_t]).tolist()
+    return "\n".join([PROFILE_HEADER, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
 
 class TestSimulateCommand:
     def write_config(self, tmp_path, **overrides):
@@ -205,6 +225,60 @@ class TestSimulateCommand:
                                     *state.e, *state.b, state.chi_re, state.chi_im,
                                     state.chi_re_t, state.chi_im_t])
             assert np.array_equal(values, want)
+
+    @pytest.mark.parametrize("scenario, zero_columns", [
+        ({"type": "chi_gaussian"}, True),
+        ({"type": "vacuum_planewave", "params": {"k": [3], "helicity": 1}}, False),
+    ], ids=["chi-gaussian", "vacuum-planewave"])
+    def test_profiles_match_row_wise_text(self, tmp_path, scenario, zero_columns):
+        cfg = self.write_config(tmp_path, scenario=scenario)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--format", "csv"]) == 0
+        profiles = sorted(out.glob("profile_*.csv"))
+        snapshots = sorted(out.glob("snapshot_*.bin"))
+        assert len(profiles) == len(snapshots) == 8
+        for profile, snapshot in zip(profiles, snapshots):
+            state = chi_solver.load_snapshot(snapshot.with_suffix(""))
+            assert profile.read_text() == row_wise_profile(state)
+            # chi_gaussian leaves ex, ey and B zero; no transverse column
+            # of the wave is
+            transverse = np.concatenate([state.e[:2], state.b[:2]])
+            assert np.all(np.any(transverse != 0.0, axis=1)) != zero_columns
+
+    def test_profile_keeps_the_sign_of_zero(self, tmp_path):
+        grid = chi_solver.Grid(8, 1.0, dims=1)
+        rng = np.random.default_rng(8)
+        e = rng.standard_normal((3, 8))
+        e[0] = -0.0                  # all -0.0: printed, not taken for +0.0
+        e[1, ::2], e[1, 1::2] = 0.0, -0.0
+        b = np.zeros((3, 8))         # all +0.0
+        b[2] = [1e-300, -1e22, 0.1, 5e-324, -0.0, 1.0, 2.0**53, np.pi]
+        chi = [np.full(8, -0.0), np.zeros(8), rng.standard_normal(8), np.zeros(8)]
+        state = chi_solver.FieldState(grid, 0.0, e, b, *chi)
+        path = tmp_path / "profile.csv"
+        _write_profile_csv(path, state, _column_text(np.arange(8) * grid.dx))
+        assert path.read_text() == row_wise_profile(state)
+        rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+        assert {row[1] for row in rows} == {"-0.0"}
+        assert [row[2] for row in rows[:2]] == ["0.0", "-0.0"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_run_prints_only_the_error(self, tmp_path, capsys, fmt):
+        # a uniform chi of 1e200 passes the gate, but its energy overflows:
+        # the strict summary writer rejects the run in one line, and no
+        # warning (which the test settings turn into an error) comes first
+        cfg = self.write_config(tmp_path, grid={"n": 8, "L": 1.0, "dims": 1}, t_end=0.1,
+                                scenario={"type": "custom", "params": {"chi_re": [1e200] * 8}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: summary.json") and err.count("\n") == 1
+        assert not (out / "summary.json").exists()
+        # the energy overflows to inf, not to NaN
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["inf", "inf"]
 
     @pytest.mark.parametrize("dims, fmt, kept", [(3, "json", False), (1, "csv", True)])
     def test_keeps_intermediate_states_only_for_profiles(self, tmp_path, monkeypatch,

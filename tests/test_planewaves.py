@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chimaxwell.errors import PreconditionViolated, ZeroMomentum
+from chimaxwell.errors import ChiMaxwellError, PreconditionViolated, ZeroMomentum
 from chimaxwell.planewaves import (
     MomentumState,
     RSVector,
@@ -88,6 +88,20 @@ class TestHelicityEigenvector:
     def test_zero_momentum_raises(self):
         with pytest.raises(ZeroMomentum):
             helicity_eigenvector(np.zeros(3), -1)
+
+    @pytest.mark.parametrize("p", [(0, 0, 1e200), (1e155, 0, 0), (np.nan, 0, 1),
+                                   (0, -np.inf, 1)], ids=["1e200", "1e155", "nan", "inf"])
+    def test_non_finite_p_squared_raises(self, p):
+        # p.p overflows or is NaN; a warning here would fail the test too
+        with pytest.raises(ChiMaxwellError, match="not finite"):
+            helicity_eigenvector(np.array(p, dtype=float), 0)
+        with pytest.raises(ChiMaxwellError, match="not finite"):
+            helicity_eigenvector(np.array([(0.0, 0.0, 1.0), p], dtype=float), [1, 0])
+
+    def test_largest_momentum_still_accepted(self):
+        # p.p = 1e308 is still finite
+        assert np.allclose(helicity_eigenvector(np.array([0.0, 0.0, 1e154]), 0),
+                           [0, 0, 1], atol=1e-15)
 
 
 class TestFactorizationIdentity:
@@ -213,6 +227,11 @@ class TestBuildGeneralizedPlanewave:
     def test_zero_momentum_raises(self):
         with pytest.raises(ZeroMomentum):
             build_generalized_planewave(np.zeros(3), +1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("p", [(1e200, 0, 0), (0, np.nan, 1)], ids=["1e200", "nan"])
+    def test_non_finite_p_squared_raises(self, p):
+        with pytest.raises(ChiMaxwellError, match="not finite"):
+            build_generalized_planewave(np.array(p, dtype=float), +1, 1.0, 0.0)
 
     def test_family_is_on_shell(self):
         rng = np.random.default_rng(15)
