@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -208,82 +209,130 @@ def cfl_bound(grid: Grid) -> float:
     return 0.5 * grid.dx / (C_LIGHT * math.sqrt(grid.dims))
 
 
-def _scenario_params(grid: Grid, scenario) -> tuple[str, dict]:
-    """(type, params) of a scenario, each param checked, converted and
-    defaulted here, so that a malformed value raises ChiMaxwellError
-    before any field is built."""
-    if not isinstance(scenario, dict):
-        raise ChiMaxwellError("scenario must be an object with 'type' and 'params'")
-    kind, raw = scenario.get("type"), scenario.get("params", {})
-    if not isinstance(raw, dict):
-        raise ChiMaxwellError("scenario params must be an object")
+def _number_array(value) -> np.ndarray | None:
+    """value as an int, uint or float array, or None if it is not one: a
+    bool, a string, None, a ragged list or an int beyond int64."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list
+        return None
+    return arr if arr.dtype.kind in "iuf" else None
 
-    def numbers(name, default, count=None):
-        """A float, or with count an array of that many floats."""
-        value = raw.get(name, default)
-        try:
-            arr = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            arr = np.empty((0, 0))  # fails both checks below
-        if count is None and arr.ndim == 0:
-            return float(arr)
-        if count is not None and arr.ndim <= 1 and arr.size == count:
-            return arr.reshape(count)
-        what = "a number" if count is None else f"{count} numbers on a {grid.dims}-D grid"
-        raise ChiMaxwellError(f"scenario param {name!r} takes {what}, got {value!r}")
 
-    vector = (3, *grid.shape)
-    if kind in ("vacuum_planewave", "chi_planewave"):
-        modes = numbers("k", [0, 0, 1] if grid.dims == 3 else [1], 3 if grid.dims == 3 else 1)
-        if not np.all(np.isfinite(modes) & (modes == np.round(modes))):
-            raise ChiMaxwellError(f"mode numbers k must be integers, got {raw['k']!r}")
-        if kind == "chi_planewave" and not np.any(modes):
-            raise ChiMaxwellError("chi_planewave requires a nonzero mode")
-        kvec = 2.0 * np.pi * modes / grid.length
-        params = {"k": np.array([0.0, 0.0, kvec[0]]) if grid.dims == 1 else kvec,
-                  "amplitude": numbers("amplitude", 1.0)}
-        if kind == "vacuum_planewave":
-            helicity = raw.get("helicity", -1)
-            if helicity not in (1, -1):
-                raise ChiMaxwellError(f"helicity must be +1 or -1, got {helicity!r}")
-            params["helicity"] = int(helicity)
-    elif kind == "chi_gaussian":
-        params = {"width": numbers("width", grid.length / 16.0),
-                  "amplitude": numbers("amplitude", 1.0),
-                  "center": numbers("center", [grid.length / 2.0] * grid.dims, grid.dims)}
-        if not params["width"] > 0.0:
-            raise ChiMaxwellError(f"width must be positive, got {params['width']!r}")
-    elif kind == "custom":
-        params = {}  # a field left out stays zero
-        for name, shape in (("e", vector), ("b", vector), ("chi_re", grid.shape),
-                            ("chi_im", grid.shape), ("chi_re_t", grid.shape),
-                            ("chi_im_t", grid.shape)):
-            if raw.get(name) is None:
-                continue
-            try:
-                params[name] = np.array(raw[name], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ChiMaxwellError(f"custom field {name!r} must be an array of "
-                                      f"numbers") from None
-            if params[name].shape != shape:
-                raise ChiMaxwellError(f"custom field {name!r} has shape "
-                                      f"{params[name].shape}, expected {shape}")
-    else:
-        raise ChiMaxwellError(f"unknown scenario type {kind!r}")
-    return kind, params
+def _numbers(raw: dict, name: str, default, count: int | None = None):
+    """raw[name] (default if absent) as a float, or with count as a float64
+    array of that many values; anything else raises ChiMaxwellError."""
+    value = raw.get(name, default)
+    arr = _number_array(value)
+    if arr is not None and count is None and arr.ndim == 0:
+        return float(arr)
+    if arr is not None and count is not None and arr.ndim <= 1 and arr.size == count:
+        return arr.astype(np.float64).reshape(count)
+    what = "a number" if count is None else f"{count} number(s)"
+    raise ChiMaxwellError(f"scenario param {name!r} takes {what}, got {value!r}")
+
+
+def _wave_vector(grid: Grid, raw: dict) -> np.ndarray:
+    """The 3-vector of the integer mode numbers k (1-D grids vary along z)."""
+    modes = _numbers(raw, "k", [0, 0, 1] if grid.dims == 3 else [1], grid.dims)
+    if not np.all(np.isfinite(modes) & (modes == np.round(modes))):
+        raise ChiMaxwellError(f"mode numbers k must be integers, got {raw['k']!r}")
+    kvec = 2.0 * np.pi * modes / grid.length
+    return np.array([0.0, 0.0, kvec[0]]) if grid.dims == 1 else kvec
 
 
 def _plane_phase(space: SpectralSpace, kvec: np.ndarray) -> np.ndarray:
     x, y, z = space.coordinates()
-    return np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z)) * np.ones(
-        space.grid.shape
-    )
+    return np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
+
+
+# Each builder reads its params, then writes the fields it defines into
+# `fields` (the six zero arrays of _initial_fields), each one as soon as it
+# is computed: the order in which the grids are freed sets the peak RSS.
+
+def _vacuum_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
+    """Transverse circularly polarized wave: k, helicity, amplitude."""
+    kvec = _wave_vector(space.grid, raw)
+    amplitude = _numbers(raw, "amplitude", 1.0)
+    helicity = _numbers(raw, "helicity", -1)
+    if helicity not in (1.0, -1.0):
+        raise ChiMaxwellError(f"helicity must be +1 or -1, got {raw['helicity']!r}")
+    pol = helicity_eigenvector(kvec, int(helicity))
+    phase = _plane_phase(space, kvec)
+    # Component by component: a (3, *shape) complex temporary here raised
+    # the peak RSS of later runs in the same process.
+    psi = [amplitude * c * phase for c in pol]
+    fields["e"] = np.stack([c.real for c in psi])
+    fields["b"] = np.stack([-c.imag for c in psi])
+
+
+def _chi_gaussian(space: SpectralSpace, raw: dict, fields: dict) -> None:
+    """Real Gaussian chi with a mean-free d/dt chi and E from a spectral
+    Poisson solve: width, amplitude, center."""
+    grid = space.grid
+    width = _numbers(raw, "width", grid.length / 16.0)
+    amplitude = _numbers(raw, "amplitude", 1.0)
+    center = _numbers(raw, "center", [grid.length / 2.0] * grid.dims, grid.dims)
+    if not width > 0.0:
+        raise ChiMaxwellError(f"width must be positive, got {width!r}")
+    coords = space.coordinates()
+    centers = [0.0, 0.0, center[0]] if grid.dims == 1 else list(center)
+    # Periodized (image-summed) Gaussian: smooth on the torus, so its
+    # spectrum decays like exp(-k^2 w^2 / 2) with no boundary kink.
+    bump = np.ones(grid.shape)
+    for a in range(3 - grid.dims, 3):
+        profile = np.zeros_like(coords[a])
+        for image in range(-2, 3):
+            profile = profile + np.exp(
+                -((coords[a] - centers[a] + image * grid.length) ** 2)
+                / (2.0 * width * width)
+            )
+        bump = bump * profile
+    bump = amplitude * bump
+    fields["chi_re"] = bump
+    fields["chi_re_t"] = (1.0 / width) * (bump - float(np.mean(bump)))
+    phi = space.solve_poisson(fields["chi_re_t"])
+    fields["e"] = -space.grad(phi)
+
+
+def _chi_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
+    """chi = A cos(k.x) with the traveling-wave d/dt chi and E from a
+    spectral Poisson solve: k (nonzero), amplitude."""
+    kvec = _wave_vector(space.grid, raw)
+    if not np.any(kvec):
+        raise ChiMaxwellError("chi_planewave requires a nonzero mode")
+    amplitude = _numbers(raw, "amplitude", 1.0)
+    phase = _plane_phase(space, kvec)
+    fields["chi_re"] = amplitude * phase.real
+    # d/dt cos(k.x - |k| t) at t = 0
+    fields["chi_re_t"] = amplitude * float(np.linalg.norm(kvec)) * phase.imag
+    phi = space.solve_poisson(fields["chi_re_t"])
+    fields["e"] = -space.grad(phi)
+
+
+def _custom(space: SpectralSpace, raw: dict, fields: dict) -> None:
+    """Any of the fields as arrays of numbers; one left out stays zero."""
+    for name, zero in fields.items():
+        if raw.get(name) is None:
+            continue
+        value = _number_array(raw[name])
+        if value is None:
+            raise ChiMaxwellError(f"custom field {name!r} must be an array of numbers")
+        if value.shape != zero.shape:
+            raise ChiMaxwellError(f"custom field {name!r} has shape "
+                                  f"{value.shape}, expected {zero.shape}")
+        fields[name] = value.astype(np.float64)
+
+
+_SCENARIOS = {"vacuum_planewave": _vacuum_planewave, "chi_gaussian": _chi_gaussian,
+              "chi_planewave": _chi_planewave, "custom": _custom}
 
 
 def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState:
     """Build initial data for a named scenario.
 
-    scenario = {"type": <name>, "params": {...}} with types:
+    scenario = {"type": <name>, "params": {...}}; each type is one builder
+    in the _SCENARIOS table, which reads and checks its own params:
 
     * "vacuum_planewave": params k (integer mode numbers), helicity (+1/-1,
       default -1), amplitude.  Transverse circularly polarized wave, chi = 0.
@@ -295,10 +344,12 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
     * "custom": params e, b, chi_re, chi_im, chi_re_t, chi_im_t as arrays
       (missing entries are zero).
 
-    Every returned state satisfies both divergence constraints at t = 0:
-    the gate reads the residuals of the state's t = 0 diagnostics sample,
-    and data violating them beyond 1e-8 or not finite raises
-    InconsistentScenario, as does any nonzero Im chi under chi_mode="real".
+    Params take numbers only, never a bool or a string; a malformed one
+    raises ChiMaxwellError.  Every returned state satisfies both divergence
+    constraints at t = 0: the gate reads the residuals of the state's
+    t = 0 diagnostics sample, and data violating them beyond 1e-8 or not
+    finite raises InconsistentScenario, as does any nonzero Im chi under
+    chi_mode="real".
     """
     return _start(grid, scenario, chi_mode)[0]
 
@@ -308,16 +359,13 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     once and gated: the one start-up path of init_state and run."""
     if chi_mode not in ("real", "complex"):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
-    # One state, 10 float64 fields per cell, bounds a run's memory from below.
-    if 80 * int(grid.n) ** grid.dims > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ChiMaxwellError(f"one {grid.dims}-D n={grid.n} state exceeds the physical memory")
-    kind, params = _scenario_params(grid, scenario)
+    _check_room(grid, 1)  # one state bounds a run's memory from below
     prop = _Propagator(grid)
     # The builder's grids (a Poisson potential, a phase) are gone by the
     # time the state is transformed.  Non-finite data raises no warning
     # here: the gate below rejects it.
     with np.errstate(invalid="ignore", over="ignore"):
-        state = _initial_fields(prop.space, kind, params, chi_mode)
+        state = _initial_fields(prop.space, scenario, chi_mode)
         spectra = prop.spectra(state)
         sample = prop.diagnostics(spectra, 0.0)
     ge, gb = sample.gauss_e_residual, sample.gauss_b_residual
@@ -330,66 +378,27 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     return state, prop, spectra, sample
 
 
-def _initial_fields(space: SpectralSpace, kind: str, params: dict,
-                   chi_mode: str) -> FieldState:
-    """The t = 0 fields of a parsed scenario, before the constraint gate."""
-    grid = space.grid
-    shape = grid.shape
-
-    e, b = np.zeros((3, *shape)), np.zeros((3, *shape))
-    chi_re, chi_im, chi_re_t, chi_im_t = (np.zeros(shape) for _ in range(4))
-
-    if kind == "vacuum_planewave":
-        kvec, amplitude = params["k"], params["amplitude"]
-        pol = helicity_eigenvector(kvec, params["helicity"])
-        phase = _plane_phase(space, kvec)
-        # Component by component: a (3, *shape) complex temporary here raised
-        # the peak RSS of later runs in the same process.
-        psi = [amplitude * c * phase for c in pol]
-        e = np.stack([c.real for c in psi])
-        b = np.stack([-c.imag for c in psi])
-    elif kind == "chi_gaussian":
-        width, amplitude, center = params["width"], params["amplitude"], params["center"]
-        coords = space.coordinates()
-        centers = [0.0, 0.0, center[0]] if grid.dims == 1 else list(center)
-        # Periodized (image-summed) Gaussian: smooth on the torus, so its
-        # spectrum decays like exp(-k^2 w^2 / 2) with no boundary kink.
-        bump = np.ones(shape)
-        for a in range(3):
-            if grid.dims == 1 and a < 2:
-                continue
-            profile = np.zeros_like(coords[a])
-            for image in range(-2, 3):
-                profile = profile + np.exp(
-                    -((coords[a] - centers[a] + image * grid.length) ** 2)
-                    / (2.0 * width * width)
-                )
-            bump = bump * profile
-        bump = amplitude * bump
-        chi_re = bump
-        chi_re_t = (C_LIGHT / width) * (bump - float(np.mean(bump)))
-        phi = space.solve_poisson(chi_re_t / C_LIGHT)
-        e = -space.grad(phi)
-    elif kind == "chi_planewave":
-        kvec, amplitude = params["k"], params["amplitude"]
-        knorm = float(np.linalg.norm(kvec))
-        phase = _plane_phase(space, kvec)
-        chi_re = amplitude * phase.real
-        chi_re_t = amplitude * C_LIGHT * knorm * phase.imag  # d/dt cos(k.x - ckt) at t=0
-        phi = space.solve_poisson(chi_re_t / C_LIGHT)
-        e = -space.grad(phi)
-    else:  # "custom"
-        e, b = params.get("e", e), params.get("b", b)
-        chi_re, chi_im = params.get("chi_re", chi_re), params.get("chi_im", chi_im)
-        chi_re_t = params.get("chi_re_t", chi_re_t)
-        chi_im_t = params.get("chi_im_t", chi_im_t)
-
-    if chi_mode == "real" and (np.any(chi_im != 0.0) or np.any(chi_im_t != 0.0)):
+def _initial_fields(space: SpectralSpace, scenario, chi_mode: str) -> FieldState:
+    """The t = 0 fields of a scenario, before the constraint gate: six zero
+    fields, overwritten by the scenario's builder where it defines them."""
+    if not isinstance(scenario, dict):
+        raise ChiMaxwellError("scenario must be an object with 'type' and 'params'")
+    kind, raw = scenario.get("type"), scenario.get("params", {})
+    if not isinstance(raw, dict):
+        raise ChiMaxwellError("scenario params must be an object")
+    build = _SCENARIOS.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ChiMaxwellError(f"unknown scenario type {kind!r}")
+    shape = space.grid.shape
+    fields = {name: np.zeros((3, *shape) if name in ("e", "b") else shape)
+              for name in SNAPSHOT_FIELDS}
+    build(space, raw, fields)
+    if chi_mode == "real" and (np.any(fields["chi_im"] != 0.0)
+                               or np.any(fields["chi_im_t"] != 0.0)):
         raise InconsistentScenario(
             "Im(chi) is nonzero; magnetic-source mode needs chi_mode='complex'"
         )
-
-    return FieldState(grid, 0.0, e, b, chi_re, chi_im, chi_re_t, chi_im_t)
+    return FieldState(space.grid, 0.0, **fields)
 
 
 def plan_steps(grid: Grid, t_end: float, dt: float | None = None) -> tuple[int, float]:
@@ -633,6 +642,25 @@ def diagnostics(state: FieldState) -> Diagnostics:
     return prop.diagnostics(prop.spectra(state), state.t)
 
 
+def _check_room(grid: Grid, kept: int, written: int = 0,
+                out_path: Path | None = None) -> None:
+    """Reject `kept` states held in memory, or `written` snapshots under
+    out_path, that do not fit in physical memory or in the free space of
+    out_path's file system, at 80 bytes (10 float64 fields) a cell each."""
+    state_bytes = 80 * int(grid.n) ** grid.dims
+    if kept * state_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ChiMaxwellError(f"{kept} kept {grid.dims}-D n={grid.n} state(s) "
+                              f"exceed the physical memory")
+    if out_path is None:
+        return
+    existing = out_path
+    while not existing.exists():  # out_path itself is made later
+        existing = existing.parent
+    if written * state_bytes > shutil.disk_usage(existing).free:
+        raise ChiMaxwellError(f"{written} snapshots of a {grid.dims}-D n={grid.n} state "
+                              f"exceed the free space of {existing}")
+
+
 def run(
     grid: Grid,
     scenario: dict,
@@ -659,15 +687,21 @@ def run(
     diagnostics.csv time series are written there.  keep_snapshots=False
     drops intermediate snapshots from the returned list (initial and final
     states are always kept) -- useful for dense diagnostics on large grids.
+    Before anything is built, a run whose kept states exceed physical
+    memory, or whose snapshots exceed the free space under out_dir, raises
+    ChiMaxwellError.
     """
     if output_every < 0:
         raise ChiMaxwellError(f"output_every must be >= 0, got {output_every!r}")
     n_steps, dt_eff = plan_steps(grid, t_end, dt)
     _check_cfl(grid, dt_eff)
+    every = min(output_every, n_steps) if output_every > 0 else n_steps
+    out_path = Path(out_dir) if out_dir is not None else None
+    outputs = 1 + -(-n_steps // every)
+    _check_room(grid, outputs if keep_snapshots else 2, outputs, out_path)
 
     state0, prop, spectra, sample0 = _start(grid, scenario, chi_mode)
 
-    out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
@@ -687,7 +721,6 @@ def run(
             save_snapshot(state, out_path / f"snapshot_{index:06d}")
 
     record(spectra, 0)
-    every = min(output_every, n_steps) if output_every > 0 else n_steps
     factors = prop.factors(every, dt_eff)
     for i in range(every, n_steps + 1, every):
         prop.jump(spectra, factors)

@@ -167,6 +167,76 @@ class TestInitState:
         with pytest.raises(InconsistentScenario):
             init_state(Grid(16, TWO_PI, dims=1), scenario, chi_mode=chi_mode)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("chi_gaussian", {"width": None}),
+        ("chi_gaussian", {"amplitude": 2**64}),
+        ("chi_gaussian", {"center": [[1.0], [2.0, 3.0]]}),
+        ("chi_gaussian", {"center": {"z": 1.0}}),
+        ("chi_planewave", {"k": [-2**63 - 1]}),
+        ("vacuum_planewave", {"helicity": np.True_}),
+        ("custom", {"e": [[0.0] * 16, [0.0] * 16, [0.0] * 15]}),
+        ("custom", {"chi_re": [None] * 16}),
+        ("custom", {"chi_re_t": [False] * 16}),
+    ], ids=["none", "int-beyond-uint64", "ragged-center", "object-center",
+            "int-below-int64", "numpy-bool-helicity", "ragged-custom-field",
+            "custom-field-of-none", "custom-field-of-bools"])
+    def test_params_take_numbers_only(self, kind, params):
+        with pytest.raises(ChiMaxwellError, match="scenario param|custom field"):
+            init_state(Grid(16, TWO_PI, dims=1), {"type": kind, "params": params})
+
+    def test_numpy_inputs_from_python_callers_run(self):
+        g = Grid(16, TWO_PI, dims=3)
+        gaussian = init_state(g, gaussian_scenario(np.float64(TWO_PI / 8)))
+        assert np.array_equal(gaussian.e, init_state(g, gaussian_scenario(TWO_PI / 8)).e)
+        wave = init_state(g, vacuum_scenario(np.array([1, 0, 2], dtype=np.int64)))
+        assert np.array_equal(wave.e, init_state(g, vacuum_scenario([1, 0, 2])).e)
+        chi_re = np.full(g.shape, 0.25, dtype=np.float32)
+        custom = init_state(g, {"type": "custom", "params": {"chi_re": chi_re}})
+        assert custom.chi_re.dtype == np.float64 and np.all(custom.chi_re == 0.25)
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    @pytest.mark.parametrize("kind, defined", [
+        ("vacuum_planewave", {"e", "b"}),
+        ("chi_gaussian", {"e", "chi_re", "chi_re_t"}),
+        ("chi_planewave", {"e", "chi_re", "chi_re_t"}),
+        ("custom", {"chi_re"}),
+    ])
+    def test_left_out_fields_are_positive_zero(self, kind, defined, dims):
+        g = Grid(16, TWO_PI, dims=dims)
+        params = {"custom": {"chi_re": np.full(g.shape, 0.5)},
+                  "chi_gaussian": {"width": TWO_PI / 8}}.get(kind, {})
+        state = init_state(g, {"type": kind, "params": params})
+        for name in chi_solver.SNAPSHOT_FIELDS:
+            f = getattr(state, name)
+            assert f.dtype == np.float64
+            assert f.shape == ((3, *g.shape) if name in ("e", "b") else g.shape)
+            if name not in defined:
+                assert not np.any(f.view(np.uint64)), name  # +0.0 bits only
+
+    @pytest.mark.parametrize("dims, modes, amplitude", [
+        (3, [1, 0, 2], 0.75), (3, [-1, 1, 1], 1.0), (1, [3], 1.25)])
+    def test_chi_planewave_closed_form_at_t0(self, dims, modes, amplitude):
+        # E = A k^ cos(k.x), d/dt chi = A |k| sin(k.x), B = 0, from the
+        # coordinates directly rather than from the builder's phase.  E
+        # comes through a Poisson solve and a gradient (four transforms):
+        # up to 5.6e-15 off here, against 0.0 for chi and d/dt chi.
+        g = Grid(16, TWO_PI, dims=dims)
+        state = init_state(g, {"type": "chi_planewave",
+                               "params": {"k": modes, "amplitude": amplitude}})
+        k = 2.0 * np.pi * np.array(([0, 0] + modes) if dims == 1 else modes) / g.length
+        x = np.arange(g.n) * g.dx
+        if dims == 3:
+            kx = (k[0] * x[:, None, None] + k[1] * x[None, :, None]
+                  + k[2] * x[None, None, :])
+        else:
+            kx = k[2] * x
+        knorm = np.sqrt(np.sum(k * k))
+        for a in range(3):
+            assert np.max(np.abs(state.e[a] - amplitude * (k[a] / knorm) * np.cos(kx))) <= 1e-14
+        assert np.max(np.abs(state.chi_re - amplitude * np.cos(kx))) <= 1e-14
+        assert np.max(np.abs(state.chi_re_t - amplitude * knorm * np.sin(kx))) <= 1e-15
+        assert not np.any(state.b)
+
 
 class TestStep:
     def test_cfl_violation_raised(self):

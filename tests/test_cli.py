@@ -371,6 +371,13 @@ class TestSimulateCommand:
         {"grid": {"n": 16, "L": 10**400, "dims": 1}},
         {"t_end": 1e300, "output_every": 0},
         {"scenario": {"type": "chi_planewave", "params": {"k": [1], "amplitude": float("inf")}}},
+        {"scenario": {"type": "chi_planewave", "params": {"k": ["1"]}}},
+        {"scenario": {"type": "vacuum_planewave", "params": {"k": [1], "helicity": True}}},
+        {"scenario": {"type": "chi_gaussian", "params": {"width": "0.5"}}},
+        {"scenario": {"type": "chi_planewave", "params": {"k": [1], "amplitude": True}}},
+        {"scenario": {"type": "chi_gaussian", "params": {"center": ["2"]}}},
+        {"scenario": {"type": "custom", "params": {"chi_re": ["0.5"] * 32}}},
+        {"scenario": {"type": ["custom"]}},
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
             "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
             "infinite-energy", "scenario-not-object", "params-not-object",
@@ -379,7 +386,9 @@ class TestSimulateCommand:
             "negative-output-every", "fractional-n", "bool-dims",
             "fractional-output-every", "string-L", "bool-t-end", "string-dt",
             "bool-c", "huge-3d-L", "L-beyond-float", "over-2**53-steps",
-            "infinite-amplitude"])
+            "infinite-amplitude", "string-mode-number", "bool-helicity",
+            "string-width", "bool-amplitude", "string-center",
+            "custom-field-of-strings", "list-scenario-type"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:
@@ -404,6 +413,35 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "physical memory" in err and err.count("\n") == 1
         assert not (tmp_path / "summary.json").exists()
+
+    # Legal, but 1e12 outputs: 640 TB of snapshots, or of kept states.
+    ENDLESS = {"grid": {"n": 8, "L": 1.0, "dims": 1}, "t_end": 1e6, "dt": 1e-6,
+               "output_every": 1, "scenario": {"type": "chi_planewave"}}
+
+    @staticmethod
+    def forbid_grids(monkeypatch):
+        # a missing bound fails here instead of writing snapshots for days
+        def unreachable(grid):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(chi_solver, "SpectralSpace", unreachable)
+
+    def test_outputs_exceeding_free_space_exit_code(self, tmp_path, capsys, monkeypatch):
+        self.forbid_grids(monkeypatch)
+        cfg = self.write_config(tmp_path, **self.ENDLESS)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "free space" in err and err.count("\n") == 1
+        assert not list(out.glob("snapshot_*")) and not (out / "summary.json").exists()
+
+    def test_kept_states_exceeding_memory_raise_before_any_grid(self, monkeypatch):
+        self.forbid_grids(monkeypatch)
+        cfg = self.ENDLESS
+        grid = chi_solver.Grid(cfg["grid"]["n"], cfg["grid"]["L"], cfg["grid"]["dims"])
+        with pytest.raises(ChiMaxwellError, match="physical memory"):
+            chi_solver.run(grid, cfg["scenario"], cfg["t_end"], cfg["dt"],
+                           cfg["output_every"], keep_snapshots=True)
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
