@@ -227,8 +227,12 @@ def _cmd_simulate(args) -> int:
         den = np.sqrt(np.mean(first.e ** 2 + first.b ** 2)
                       + np.mean(first.chi_re ** 2 + first.chi_im ** 2))
         l2_change = num / max(den, 1e-300)
+    n_steps, dt_eff = chi_solver.plan_steps(grid, t_end, dt)
     summary = {
-        "steps": chi_solver.plan_steps(grid, t_end, dt)[0],
+        "version": __version__,
+        "steps": n_steps,
+        "dt_eff": dt_eff / c_phys,
+        "cfl_ratio": dt_eff / chi_solver.cfl_bound(grid),
         "t_end": final.t / c_phys,
         "grid": {"n": grid.n, "L": grid.length, "dims": grid.dims},
         "final": {

@@ -177,9 +177,13 @@ class TestInitState:
         ("custom", {"e": [[0.0] * 16, [0.0] * 16, [0.0] * 15]}),
         ("custom", {"chi_re": [None] * 16}),
         ("custom", {"chi_re_t": [False] * 16}),
+        ("custom", {"e": [[0.0] * 16, [0.0] * 16, [0.0] * 15 + [True]]}),
+        ("custom", {"chi_re": [0.5] * 15 + [np.True_]}),
+        ("custom", {"b": [np.zeros(16), np.zeros(16), np.zeros(16, dtype=bool)]}),
     ], ids=["none", "int-beyond-uint64", "ragged-center", "object-center",
             "int-below-int64", "numpy-bool-helicity", "ragged-custom-field",
-            "custom-field-of-none", "custom-field-of-bools"])
+            "custom-field-of-none", "custom-field-of-bools", "bool-deep-in-custom-field",
+            "numpy-bool-among-custom-numbers", "bool-array-in-custom-field"])
     def test_params_take_numbers_only(self, kind, params):
         with pytest.raises(ChiMaxwellError, match="scenario param|custom field"):
             init_state(Grid(16, TWO_PI, dims=1), {"type": kind, "params": params})
@@ -356,6 +360,130 @@ class TestPropagatorOracle:
         stepped = step(step(snaps[0], dt), dt)
         assert stepped.t == pytest.approx(final.t, rel=1e-15)
         assert state_distance(stepped, final) <= 1e-13 * state_norm(final)
+
+
+@pytest.fixture
+def fft_inputs(monkeypatch):
+    """Every array handed to np.fft.rfftn ("fwd") and np.fft.irfftn ("inv")."""
+    seen = {"fwd": [], "inv": []}
+    for key, name in (("fwd", "rfftn"), ("inv", "irfftn")):
+        def recording(a, *args, _key=key, _fft=getattr(np.fft, name), **kwargs):
+            seen[_key].append(a)
+            return _fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    return seen
+
+
+def state_bits(state):
+    return [state.t] + [getattr(state, name).tobytes() for name in chi_solver.SNAPSHOT_FIELDS]
+
+
+def negative_zero_scenario(g):
+    fields = {name: np.full((3, *g.shape) if name in ("e", "b") else g.shape, -0.0)
+              for name in chi_solver.SNAPSHOT_FIELDS}
+    return {"type": "custom", "params": fields}
+
+
+class TestZeroFields:
+    """A field that is zero costs no FFT, and no jump or curl_j arithmetic."""
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_only_an_all_zero_array_skips_the_fft(self, dims):
+        space = SpectralSpace(Grid(16, TWO_PI, dims=dims))
+        axes, shape = space.axes, space.grid.shape
+        f = np.full(shape, -0.0)
+        fh = space.fwd(f)
+        assert fh.dtype == np.complex128 and fh.shape == np.fft.rfftn(f, axes=axes).shape
+        assert not fh.view(np.uint64).any() and not space.inv(fh).view(np.uint64).any()
+        f.flat[-1] = 1.0  # one nonzero cell
+        assert np.array_equal(space.fwd(f), np.fft.rfftn(f, axes=axes, norm="forward"))
+        fh.flat[1] = 1j  # one bin, with no real part
+        assert np.array_equal(space.inv(fh), np.fft.irfftn(fh, s=shape, axes=axes,
+                                                          norm="forward"))
+        v = np.random.default_rng(dims).standard_normal((3, *shape))
+        assert space.fwd(v).tobytes() == np.fft.rfftn(v, axes=axes, norm="forward").tobytes()
+        v[0] = v[2] = 0.0  # the FFT of a zero component may hold a -0.0
+        assert np.array_equal(space.fwd(v), np.fft.rfftn(v, axes=axes, norm="forward"))
+
+    def test_vacuum_run_transforms_each_nonzero_component_once(self, fft_inputs):
+        g = Grid(16, TWO_PI, dims=3)
+        run(g, vacuum_scenario([1, 0, 2]), 4 * cfl_bound(g), output_every=0)
+        # E and B in, E and B out; chi and d/dt chi are zero both ways
+        assert len(fft_inputs["fwd"]) == len(fft_inputs["inv"]) == 6
+        assert all(a.shape == g.shape for a in fft_inputs["fwd"])
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_real_chi_run_never_transforms_im_chi(self, fft_inputs, dims):
+        g = Grid(16 if dims == 3 else 256, TWO_PI, dims=dims)
+        _, _, snaps = run(g, gaussian_scenario(TWO_PI / 8), 6 * cfl_bound(g), output_every=2)
+        assert fft_inputs["fwd"] and fft_inputs["inv"]
+        assert all(a is not snaps[0].chi_im and a is not snaps[0].chi_im_t
+                   for a in fft_inputs["fwd"])
+        assert all(np.any(a) for a in fft_inputs["fwd"] + fft_inputs["inv"])
+
+    @pytest.mark.parametrize("dims, build, chi_mode", [
+        (3, lambda g: vacuum_scenario([1, 0, 2], helicity=1), "real"),
+        (3, lambda g: gaussian_scenario(TWO_PI / 8), "real"),
+        (1, lambda g: {"type": "chi_gaussian", "params": {"width": TWO_PI / 16,
+                                                          "center": [2.0]}}, "real"),
+        (3, complex_chi_scenario, "complex"),
+        (1, negative_zero_scenario, "complex"),
+    ], ids=["vacuum-3d", "gaussian-3d", "gaussian-1d", "complex-chi-custom",
+            "negative-zero-custom"])
+    def test_output_matches_transforming_every_field(self, monkeypatch, dims, build,
+                                                     chi_mode):
+        g = Grid(16 if dims == 3 else 256, TWO_PI, dims=dims)
+        args = (g, build(g), 10 * cfl_bound(g))
+        _, diags, snaps = run(*args, output_every=3, chi_mode=chi_mode)
+
+        def every_fwd(space, f):
+            return np.fft.rfftn(f, axes=space.axes, norm="forward")
+
+        def every_inv(space, fh):
+            return np.fft.irfftn(fh, s=space.grid.shape, axes=space.axes, norm="forward")
+
+        monkeypatch.setattr(SpectralSpace, "fwd", every_fwd)
+        monkeypatch.setattr(SpectralSpace, "inv", every_inv)
+        _, want_diags, want_snaps = run(*args, output_every=3, chi_mode=chi_mode)
+        assert repr(diags) == repr(want_diags)  # repr keeps the sign of a zero
+        assert [state_bits(s) for s in snaps[1:]] == [state_bits(s) for s in want_snaps[1:]]
+        # The initial E of a 1-D chi_gaussian is a gradient whose x and y
+        # components are zero; an FFT of their zero spectra leaves a +0.0 or
+        # a -0.0 in each cell by its rounding, so t = 0 is equal in value.
+        for name in chi_solver.SNAPSHOT_FIELDS:
+            assert np.array_equal(getattr(snaps[0], name), getattr(want_snaps[0], name))
+
+    @pytest.mark.parametrize("scenario", [vacuum_scenario([1, 0, 2]),
+                                          gaussian_scenario(TWO_PI / 8)],
+                             ids=["vacuum", "gaussian"])
+    def test_curl_j_matches_the_full_sum(self, scenario):
+        g = Grid(16, TWO_PI, dims=3)
+        prop = chi_solver._Propagator(g)
+        spectra = prop.spectra(init_state(g, scenario))
+        k = prop.space.k
+        grad = [ka * 0.5 * (spectra[0, 3] + spectra[1, 3]) for ka in k]
+        want = float(np.sqrt(sum(prop._mean_sq(k[a] * grad[b] - k[b] * grad[a])
+                                 for a, b in ((1, 2), (2, 0), (0, 1)))))
+        assert repr(prop.diagnostics(spectra, 0.0).curl_j_residual) == repr(want)
+
+    def test_zero_chi_with_nonzero_chi_t_is_advanced(self):
+        # chi is zero at t = 0 but d/dt chi is not: no half may be skipped
+        g = Grid(16, TWO_PI, dims=3)
+        pulse = init_state(g, gaussian_scenario(TWO_PI / 8))
+        scenario = {"type": "custom", "params": {"e": pulse.e, "chi_re_t": pulse.chi_re_t}}
+        _, _, snaps = run(g, scenario, 4 * cfl_bound(g), output_every=1)
+        for snap, want in zip(snaps[1:], reference_rk4(snaps[0], cfl_bound(g), 4)):
+            assert snap.t == want.t
+            assert state_distance(snap, want) <= 1e-12 * state_norm(want)
+
+    def test_vacuum_jump_leaves_the_chi_channels_alone(self):
+        g = Grid(16, TWO_PI, dims=3)
+        prop = chi_solver._Propagator(g)
+        spectra = prop.spectra(init_state(g, vacuum_scenario([1, 0, 2])))
+        before = spectra[:, 2:].tobytes()  # l, chi and chi_t of both halves
+        prop.jump(spectra, prop.factors(3, cfl_bound(g)))
+        assert spectra[:, 2:].tobytes() == before
 
 
 class TestHelicityBasis:

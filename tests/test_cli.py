@@ -5,15 +5,17 @@ import copy
 import csv
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chimaxwell import chi_solver
+from chimaxwell import __version__, chi_solver
 from chimaxwell.cli import _column_text, _write_json, _write_profile_csv, main
 from chimaxwell.errors import ChiMaxwellError
 from chimaxwell.polarization import energy_of
@@ -312,6 +314,19 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == 3
 
+    def test_summary_records_step_cfl_ratio_and_version(self, tmp_path):
+        # c = 2: the run takes 3 internal steps of 0.1, each 0.05 in physical time
+        cfg = self.write_config(tmp_path, grid={"n": 16, "L": 6.283185307179586, "dims": 1},
+                                t_end=0.15, dt=0.05, c=2.0)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps"] == 3
+        assert summary["dt_eff"] == pytest.approx(0.05, rel=1e-15)
+        bound = 0.5 * 6.283185307179586 / 16  # 0.5 dx / (c sqrt(dims)), internal time
+        assert summary["cfl_ratio"] == pytest.approx(0.1 / bound, rel=1e-15)
+        assert summary["version"] == __version__
+
     def test_physical_unit_conversion(self, tmp_path):
         # same scenario expressed with c = 2: times halve internally
         cfg1 = self.write_config(tmp_path, t_end=1.0, dt=0.02, c=1.0)
@@ -378,6 +393,10 @@ class TestSimulateCommand:
         {"scenario": {"type": "chi_gaussian", "params": {"center": ["2"]}}},
         {"scenario": {"type": "custom", "params": {"chi_re": ["0.5"] * 32}}},
         {"scenario": {"type": ["custom"]}},
+        {"grid": {"n": 8, "L": 6.283185307179586, "dims": 3},
+         "scenario": {"type": "vacuum_planewave", "params": {"k": [0, 0, True]}}},
+        {"grid": {"n": 8, "L": 1.0, "dims": 1},
+         "scenario": {"type": "custom", "params": {"chi_re": [0.5, 0, 0, 0, 0, 0, 0, True]}}},
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
             "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
             "infinite-energy", "scenario-not-object", "params-not-object",
@@ -388,7 +407,8 @@ class TestSimulateCommand:
             "bool-c", "huge-3d-L", "L-beyond-float", "over-2**53-steps",
             "infinite-amplitude", "string-mode-number", "bool-helicity",
             "string-width", "bool-amplitude", "string-center",
-            "custom-field-of-strings", "list-scenario-type"])
+            "custom-field-of-strings", "list-scenario-type", "bool-among-mode-numbers",
+            "bool-among-custom-numbers"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:
@@ -434,6 +454,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "free space" in err and err.count("\n") == 1
         assert not list(out.glob("snapshot_*")) and not (out / "summary.json").exists()
+
+    def test_free_space_counts_whole_blocks(self, tmp_path, capsys, monkeypatch):
+        # 101 outputs of a 1-D n=8 state: 64 640 bytes of data, but each
+        # .bin and .json fills at least one file-system block
+        self.forbid_grids(monkeypatch)
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=100_000))
+        cfg = self.write_config(tmp_path, grid={"n": 8, "L": 1.0, "dims": 1}, t_end=1.0,
+                                dt=0.01, output_every=1, scenario={"type": "chi_planewave"})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "free space" in err and err.count("\n") == 1
+        assert not list(out.glob("snapshot_*"))
 
     def test_kept_states_exceeding_memory_raise_before_any_grid(self, monkeypatch):
         self.forbid_grids(monkeypatch)
