@@ -23,8 +23,8 @@ Discretization: all spatial derivatives are exact Fourier multipliers on the
 periodic grid, so the discrete curl of the discrete gradient vanishes to
 machine precision ("rot grad = 0" survives discretization verbatim), and a
 plane wave propagates with no spatial dispersion error.  The state evolves
-as the spectra of the paper's variables psi = E - iB and complex chi, where
-dpsi/dt = i curl psi - grad chi is the operator of (E + S.p) psi = p chi.
+as the spectra of the paper's variables psi = E - iB and chi (held as Re chi
+and Im chi), where dpsi/dt = i curl psi - grad chi is (E + S.p) psi = p chi.
 Each bin holds psi in the S.k^ eigenbasis of `planewaves.helicity_triad`:
 helicity +1 and -1 (the photon) and eigenvalue 0 (k^.psi, where chi
 enters).  Time stepping is classical RK4 under the bound
@@ -448,37 +448,38 @@ def _check_cfl(grid: Grid, dt: float) -> None:
 
 
 class _Propagator:
-    """s RK4 steps as one jump of the spectra of psi = E - iB, chi and chi_t.
+    """s RK4 steps as one jump of the spectra of psi = E - iB, Re chi and Im chi.
 
     Per bin (p = k, E = i d/dt) the operator is (E + S.p) psi = p chi, that
-    is dpsi/dt = -k x psi - i k chi.  psi is held on the bin's
-    `planewaves.helicity_triad` (th^, ph^, k^) as the eigen-amplitudes of
-    S.k^, with e+ and e- the `helicity_eigenvector`s on that triad (so
-    projecting on it is two plane rotations):
+    is dpsi/dt = -k x psi - i k chi, with chi = Re chi + i Im chi.  psi is
+    held on the bin's `planewaves.helicity_triad` (th^, ph^, k^) as the
+    eigen-amplitudes of S.k^, with e+ and e- the `helicity_eigenvector`s on
+    that triad (so projecting on it is two plane rotations):
 
         h+ = th^.psi - i ph^.psi  (helicity +1, h+ = -sqrt(2) e+^dagger psi)
         h- = th^.psi + i ph^.psi  (helicity -1, h- =  sqrt(2) e-^dagger psi)
         l  = k^.psi               (eigenvalue 0, where chi enters)
 
-    -k^ x = i (S.k^) turns h+ by e^{i|k|t} and h- by e^{-i|k|t}; (chi, chi_t)
-    rotate at frequency |k| and l - i chi_t/|k| stays fixed.  So s steps
+    -k^ x = i (S.k^) turns h+ by e^{i|k|t} and h- by e^{-i|k|t}; each part
+    of chi, (R, R_t) of Re chi and (I, I_t) of Im chi, rotates as (f, f_t)
+    at frequency |k|, and l - i (R_t + i I_t)/|k| stays fixed.  So s steps
     multiply by rho = r(i theta)^s, r(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
     theta = |k| dt, C = Re rho, Sn = Im rho:
 
-        h+    <- rho h+,  h- <- conj(rho) h-
-        chi   <- C chi + (Sn/|k|) chi_t
-        chi_t <- -|k| Sn chi + C chi_t              (chi_t' below)
-        l     <- l + i (chi_t' - chi_t)/|k|
+        h+  <- rho h+,  h- <- conj(rho) h-
+        f   <- C f + (Sn/|k|) f_t                    (f = R and f = I)
+        f_t <- -|k| Sn f + C f_t
+        l   <- l + (i dR - dI)/|k|,  dR, dI the changes of R_t and I_t
 
-    At k = 0, rho = 1, psi and chi_t stay put and chi <- chi + s dt chi_t.
+    At k = 0, rho = 1, psi and f_t stay put and f <- f + s dt f_t.
 
-    The full spectra live on two rfftn half-grids, stacked as one array of
-    shape (2, 5, *half): (h+, h-, l, chi, chi_t) of psi, chi and chi_t, and
-    the same of their conjugates (E + iB, ...), which turn the other way
-    (rho and conj(rho) swap).  Built from the real fields' rfftn, the pair
-    keeps real fields exactly real, so a field that is zero stays exactly
-    zero.  `jump` advances such an array in place: a run's spectra are its
-    own, and every state handed out is a fresh transform of them.
+    The spectra live on rfftn half-grids, stacked as one (2, 5, *half)
+    array: (h+, h-, l, R, R_t), and (h+, h-, l, I, I_t) with the first
+    three of the conjugate E + iB, which turns the other way (rho and
+    conj(rho) swap) and takes l_c += (i dR + dI)/|k|.  Real fields stay
+    exactly real, and a zero one exactly zero: a real-chi run never rotates
+    (I, I_t).  `jump` works in place: a run's spectra are its own, and
+    every state handed out is a fresh transform of them.
     """
 
     def __init__(self, grid: Grid):
@@ -520,13 +521,13 @@ class _Propagator:
         return out
 
     def spectra(self, state: FieldState) -> np.ndarray:
-        """The (2, 5, *half) pair of a state: (h+, h-, l, chi, chi_t) and
-        those of the conjugates, from the rfftn of E and B on the triad."""
+        """The (2, 5, *half) pair of a state (see the class), from the rfftn
+        of E and B on the triad and of each chi field."""
         fwd = self.space.fwd
         e_th, e_ph, e_k = self._project(fwd(state.e))
         b_th, b_ph, b_k = self._project(fwd(state.b))
         out = np.empty((2, 5, *e_th.shape), dtype=np.complex128)
-        (hp, hm, ell, chi, chi_t), (hp_c, hm_c, ell_c, chi_c, chi_t_c) = out
+        (hp, hm, ell, _, _), (hp_c, hm_c, ell_c, _, _) = out
         # h+ = (E_th - B_ph) - i (B_th + E_ph), h-_c its partner with +i
         p, iq = e_th - b_ph, 1j * (b_th + e_ph)
         np.subtract(p, iq, out=hp)
@@ -540,25 +541,23 @@ class _Propagator:
         np.subtract(e_k, ib, out=ell)
         np.add(e_k, ib, out=ell_c)
         del ib, e_k, b_k
-        for re, im, z, z_c in ((state.chi_re, state.chi_im, chi, chi_c),
-                               (state.chi_re_t, state.chi_im_t, chi_t, chi_t_c)):
-            re, i_im = fwd(re), 1j * fwd(im)
-            np.add(re, i_im, out=z)
-            np.subtract(re, i_im, out=z_c)
+        out[0, 3], out[0, 4] = fwd(state.chi_re), fwd(state.chi_re_t)
+        out[1, 3], out[1, 4] = fwd(state.chi_im), fwd(state.chi_im_t)
         return out
 
     def state(self, spectra, t: float) -> FieldState:
         """Real-space state at time t from the pair of spectra, field by
         field: E = Re psi from the sums of the two halves, B = -Im psi from
-        their differences."""
-        (hp, hm, ell, chi, chi_t), (hp_c, hm_c, ell_c, chi_c, chi_t_c) = spectra
-        inv = self.space.inv
+        their differences, and each chi field from its own slot."""
+        (hp, hm, ell, _, _), (hp_c, hm_c, ell_c, _, _) = spectra
         e = self._real(hp + hp_c, hm + hm_c, ell + ell_c, 1.0)
         b = self._real(hp - hp_c, hm - hm_c, ell - ell_c, 1j)
-        return FieldState(
-            self.space.grid, t, e, b,
-            inv(0.5 * (chi + chi_c)), inv(-0.5j * (chi - chi_c)),
-            inv(0.5 * (chi_t + chi_t_c)), inv(-0.5j * (chi_t - chi_t_c)))
+        # Zero fields are rows of one unwritten block: no pages, unlike one zero array each.
+        slots = (spectra[0, 3], spectra[1, 3], spectra[0, 4], spectra[1, 4])
+        nonzero = [slot.any() for slot in slots]
+        zero = iter(np.zeros((nonzero.count(False), *self.space.grid.shape)))
+        chi = [self.space.inv(slot) if nz else next(zero) for slot, nz in zip(slots, nonzero)]
+        return FieldState(self.space.grid, t, e, b, *chi)
 
     def factors(self, s: int, dt: float) -> tuple[np.ndarray, ...]:
         """(rho, C, Sn/|k|, |k| Sn) for s steps of length dt; Sn/|k| takes
@@ -572,27 +571,32 @@ class _Propagator:
 
     def jump(self, spectra, factors) -> None:
         """Advance the pair in place by the steps `factors` was built for:
-        one phase multiply per helicity channel, the (chi, chi_t) rotation
-        and the kick to l, with two temporaries per half.  A half whose chi
-        and chi_t are all zero takes the phase multiplies only."""
+        one phase multiply per helicity channel, then per chi part the
+        (f, f_t) rotation and its kick to l and l_c, with two temporaries.
+        A part whose f and f_t are all zero is skipped."""
         rho, c, sn_over_k, k_sn = factors
         rho_c = rho.conj()
-        for (hp, hm, ell, chi, chi_t), (turn_p, turn_m) in zip(
-                spectra, ((rho, rho_c), (rho_c, rho))):
+        for (hp, hm, *_), (turn_p, turn_m) in zip(spectra, ((rho, rho_c), (rho_c, rho))):
             hp *= turn_p
             hm *= turn_m
-            if not (chi.any() or chi_t.any()):
-                continue  # the system is linear: chi stays zero and kicks nothing
-            chi_t_new = c * chi_t
-            tmp = k_sn * chi
-            chi_t_new -= tmp
-            chi *= c
-            chi += np.multiply(sn_over_k, chi_t, out=tmp)
-            np.subtract(chi_t_new, chi_t, out=tmp)
+        ell, ell_c = spectra[:, 2]
+        for part, (f, f_t) in enumerate(spectra[:, 3:]):
+            if not (f.any() or f_t.any()):
+                continue  # the system is linear: the part stays zero and kicks nothing
+            f_t_new = c * f_t
+            tmp = k_sn * f
+            f_t_new -= tmp
+            f *= c
+            f += np.multiply(sn_over_k, f_t, out=tmp)
+            np.subtract(f_t_new, f_t, out=tmp)
             tmp *= self.inv_k
-            tmp *= 1j
-            ell += tmp
-            chi_t[...] = chi_t_new
+            f_t[...] = f_t_new
+            if part == 0:  # l and l_c += i dR/|k|
+                tmp *= 1j
+                ell += tmp
+            else:  # l -= dI/|k|, l_c += dI/|k|
+                ell -= tmp
+            ell_c += tmp
 
     def _mean_sq(self, *spectra: np.ndarray) -> float:
         """Grid mean of |f|^2, summed over the fields whose (mean-normalized,
@@ -612,28 +616,24 @@ class _Propagator:
         return total
 
     def diagnostics(self, spectra, t: float) -> Diagnostics:
-        """The diagnostics of the state the pair describes, read off its
-        spectra by Parseval, with no FFT.  With G = i |k| l + chi_t
-        (= i k.psi + chi_t, and G_c from the conjugates), (G + G_c)/2 is the
-        spectrum of div E + d/dt Re chi and (G_c - G)/2 that of
-        i (div B - d/dt Im chi).  The triad is orthonormal, so
-        |psi|^2 = (|h+|^2 + |h-|^2)/2 + |l|^2."""
-        (hp, hm, ell, chi, chi_t), (hp_c, hm_c, ell_c, chi_c, chi_t_c) = spectra
+        """The diagnostics of the state the pair describes, read off its spectra
+        by Parseval, with no FFT: i |k| (l + l_c)/2 + R_t is the spectrum of
+        div E + d/dt Re chi, i |k| (l_c - l)/2 - i I_t (read without its exact
+        factor i) that of i (div B - d/dt Im chi).  The triad is orthonormal, so
+        |psi|^2 = (|h+|^2 + |h-|^2)/2 + |l|^2, and |chi|^2 sums as |R|^2 + |I|^2."""
+        (hp, hm, ell, re, re_t), (hp_c, hm_c, ell_c, im, im_t) = spectra
         k = self.space.k
-        g = 1j * (self.kabs * ell) + chi_t
-        g_c = 1j * (self.kabs * ell_c) + chi_t_c
-        ge = math.sqrt(self._mean_sq(0.5 * (g + g_c)))
-        gb = math.sqrt(self._mean_sq(0.5 * (g_c - g)))
+        ge = math.sqrt(self._mean_sq(0.5j * (self.kabs * (ell + ell_c)) + re_t))
+        gb = math.sqrt(self._mean_sq(0.5 * (self.kabs * (ell_c - ell)) - im_t))
         # curl grad Re chi = -k x (k Re chi): the factors of i are exact and
         # drop out of |.|^2, so k_a Re chi is formed once per axis.
-        re_chi = 0.5 * (chi + chi_c)
         curl_j = 0.0  # what the sum reads when Re chi is zero
-        if re_chi.any():
-            grad = [ka * re_chi for ka in k]
+        if re.any():
+            grad = [ka * re for ka in k]
             curl_j = math.sqrt(sum(self._mean_sq(k[a] * grad[b] - k[b] * grad[a])
                                    for a, b in ((1, 2), (2, 0), (0, 1))))
-        energy = 0.25 * (0.5 * self._mean_sq(hp, hm, hp_c, hm_c)
-                         + self._mean_sq(ell, ell_c, chi, chi_c)) * self.space.grid.volume
+        energy = 0.25 * (0.5 * self._mean_sq(hp, hm, hp_c, hm_c) + self._mean_sq(ell, ell_c)
+                         + 2.0 * self._mean_sq(re, im)) * self.space.grid.volume
         return Diagnostics(t, ge, gb, curl_j, 0.0, energy)
 
 
@@ -714,9 +714,9 @@ def run(
     (see _Propagator), so the cost grows with the number of outputs.  The
     initial state is transformed once; every sample comes from the
     propagator's spectra, and a state returns to real space only when it is
-    kept or written.  A field that is identically zero is never transformed
-    (see SpectralSpace), and zero chi channels are never advanced: a vacuum
-    wave costs no chi work, and a real-chi run no Im chi transform.
+    kept or written.  An all-zero field is never transformed (see
+    SpectralSpace), nor a zero chi part advanced: a vacuum wave costs no chi
+    work, and a real-chi run neither transforms nor advances Im chi.
 
     When out_dir is given, snapshots (.bin + .json sidecar) and a
     diagnostics.csv time series are written there.  keep_snapshots=False

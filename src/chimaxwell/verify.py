@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from . import polarization as pol
 from . import planewaves as pw
 from . import spin_algebra as sa
 
 __all__ = ["CheckResult", "VerifyReport", "run_verification"]
-
-VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class CheckResult:
 class VerifyReport:
     seed: int
     trials: int
-    version: str = VERSION
+    version: str = __version__
     checks: list[CheckResult] = field(default_factory=list)
 
     @property

@@ -287,19 +287,26 @@ class TestStep:
         assert np.max(np.abs(lhs.chi_re - (a * r1.chi_re + b * r2.chi_re))) <= 1e-10
 
 
+def magnetic_chi_scenario(g):
+    """A magnetic Gaussian (Im chi only) as custom data.  div B = +d/dt Im(chi):
+    the Poisson-field E of a chi_gaussian, negated, is its B."""
+    gm = init_state(g, {"type": "chi_gaussian",
+                        "params": {"width": TWO_PI / 6, "amplitude": -0.4,
+                                   "center": [1.0, 2.5, 4.0]}})
+    return {"type": "custom",
+            "params": {"b": -gm.e, "chi_im": gm.chi_re, "chi_im_t": gm.chi_re_t}}
+
+
 def complex_chi_scenario(g):
     """Vacuum wave plus an electric Gaussian (Re chi) plus a magnetic one
     (Im chi), as custom data satisfying both divergence constraints."""
     vac = init_state(g, vacuum_scenario([1, 0, 2], helicity=1, amplitude=0.7))
     ge = init_state(g, gaussian_scenario(TWO_PI / 8))
-    gm = init_state(g, {"type": "chi_gaussian",
-                        "params": {"width": TWO_PI / 6, "amplitude": -0.4,
-                                   "center": [1.0, 2.5, 4.0]}})
-    # div B = +d/dt Im(chi): the magnetic Gaussian's E field, negated, is B
+    gm = magnetic_chi_scenario(g)["params"]
     return {"type": "custom", "params": {
-        "e": vac.e + ge.e, "b": vac.b - gm.e,
+        "e": vac.e + ge.e, "b": vac.b + gm["b"],
         "chi_re": ge.chi_re, "chi_re_t": ge.chi_re_t,
-        "chi_im": gm.chi_re, "chi_im_t": gm.chi_re_t,
+        "chi_im": gm["chi_im"], "chi_im_t": gm["chi_im_t"],
     }}
 
 
@@ -333,11 +340,14 @@ def reference_rk4(state, dt, n_steps):
 
 
 class TestPropagatorOracle:
-    @pytest.mark.parametrize("output_every", [0, 1, 4])
-    def test_run_matches_reference_rk4(self, output_every):
+    @pytest.mark.parametrize("output_every, build", [
+        (0, complex_chi_scenario), (1, complex_chi_scenario), (4, complex_chi_scenario),
+        (4, magnetic_chi_scenario),
+    ], ids=["0", "1", "4", "magnetic-4"])
+    def test_run_matches_reference_rk4(self, output_every, build):
         # output_every = 4 over 10 steps ends on a shorter 2-step jump
         g = Grid(16, TWO_PI, dims=3)
-        scenario = complex_chi_scenario(g)
+        scenario = build(g)
         n_steps = 10
         t_end = n_steps * cfl_bound(g)
         _, _, snaps = run(g, scenario, t_end, output_every=output_every,
@@ -460,15 +470,16 @@ class TestZeroFields:
     def test_curl_j_matches_the_full_sum(self, scenario):
         g = Grid(16, TWO_PI, dims=3)
         prop = chi_solver._Propagator(g)
-        spectra = prop.spectra(init_state(g, scenario))
+        state = init_state(g, scenario)
+        spectra = prop.spectra(state)
         k = prop.space.k
-        grad = [ka * 0.5 * (spectra[0, 3] + spectra[1, 3]) for ka in k]
+        grad = [ka * prop.space.fwd(state.chi_re) for ka in k]
         want = float(np.sqrt(sum(prop._mean_sq(k[a] * grad[b] - k[b] * grad[a])
                                  for a, b in ((1, 2), (2, 0), (0, 1)))))
         assert repr(prop.diagnostics(spectra, 0.0).curl_j_residual) == repr(want)
 
     def test_zero_chi_with_nonzero_chi_t_is_advanced(self):
-        # chi is zero at t = 0 but d/dt chi is not: no half may be skipped
+        # chi is zero at t = 0 but d/dt chi is not: Re chi may not be skipped
         g = Grid(16, TWO_PI, dims=3)
         pulse = init_state(g, gaussian_scenario(TWO_PI / 8))
         scenario = {"type": "custom", "params": {"e": pulse.e, "chi_re_t": pulse.chi_re_t}}
@@ -481,9 +492,18 @@ class TestZeroFields:
         g = Grid(16, TWO_PI, dims=3)
         prop = chi_solver._Propagator(g)
         spectra = prop.spectra(init_state(g, vacuum_scenario([1, 0, 2])))
-        before = spectra[:, 2:].tobytes()  # l, chi and chi_t of both halves
+        before = spectra[:, 2:].tobytes()  # l and both chi parts, with their d/dt
         prop.jump(spectra, prop.factors(3, cfl_bound(g)))
         assert spectra[:, 2:].tobytes() == before
+
+    def test_real_chi_jump_leaves_im_chi_alone(self):
+        g = Grid(16, TWO_PI, dims=3)
+        prop = chi_solver._Propagator(g)
+        spectra = prop.spectra(init_state(g, gaussian_scenario(TWO_PI / 8)))
+        re_before, im_before = spectra[0, 3:].tobytes(), spectra[1, 3:].tobytes()
+        prop.jump(spectra, prop.factors(3, cfl_bound(g)))
+        assert spectra[0, 3:].tobytes() != re_before  # Re chi moved
+        assert spectra[1, 3:].tobytes() == im_before  # Im chi and its d/dt did not
 
 
 class TestHelicityBasis:

@@ -1,7 +1,12 @@
-"""The benchmark's tracer binds library names; a rename must fail here."""
+"""Project tooling: the benchmark's tracer binds library names, so a rename
+must fail here, and the package metadata names the package's version."""
 
 import types
 from pathlib import Path
+
+import pytest
+
+import chimaxwell
 
 
 def test_perfbench_binding_points_exist():
@@ -14,3 +19,10 @@ def test_perfbench_binding_points_exist():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in points
                if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["version"] == chimaxwell.__version__
