@@ -443,7 +443,7 @@ def plan_steps(grid: Grid, t_end: float, dt: float | None = None) -> tuple[int, 
 
 def _check_cfl(grid: Grid, dt: float) -> None:
     bound = cfl_bound(grid)
-    if abs(dt) > bound * (1.0 + 1e-12):
+    if not abs(dt) <= bound * (1.0 + 1e-12):  # written so that a NaN dt is rejected too
         raise CFLViolation(f"|dt| = {abs(dt):.6g} exceeds the bound {bound:.6g}")
 
 
@@ -474,12 +474,16 @@ class _Propagator:
     At k = 0, rho = 1, psi and f_t stay put and f <- f + s dt f_t.
 
     The spectra live on rfftn half-grids, stacked as one (2, 5, *half)
-    array: (h+, h-, l, R, R_t), and (h+, h-, l, I, I_t) with the first
-    three of the conjugate E + iB, which turns the other way (rho and
-    conj(rho) swap) and takes l_c += (i dR + dI)/|k|.  Real fields stay
-    exactly real, and a zero one exactly zero: a real-chi run never rotates
-    (I, I_t).  `jump` works in place: a run's spectra are its own, and
-    every state handed out is a fresh transform of them.
+    array whose two halves are psi and its partner E + iB, packed alike:
+    (h+, h-, l, R, R_t) of psi, then (h+, h-, l, I, I_t) of the partner,
+    which turns the other way (rho and conj(rho) swap) and takes
+    l_c += (i dR + dI)/|k|.  `spectra` packs each half through `_project`;
+    `state` unpacks E from the sum of the halves and B from their
+    difference through its transpose, `_unproject`, one component at a
+    time.  Real fields stay exactly real, and a zero one exactly zero: a
+    real-chi run never rotates (I, I_t).  `jump` works in place: a run's
+    spectra are its own, and every state handed out is a fresh transform
+    of them.
     """
 
     def __init__(self, grid: Grid):
@@ -496,62 +500,52 @@ class _Propagator:
         return (self.cos_t * u - self.sin_t * v[2], self.cphi * v[1] - self.sphi * v[0],
                 self.sin_t * u + self.cos_t * v[2])
 
-    def _real(self, p, m, v_k, scale: complex) -> np.ndarray:
-        """The real vector field with triad components
-        scale * ((p + m)/4, i (p - m)/4, v_k/2), component by component.
-        p, m and v_k are the sums (E, scale 1) or differences (B, scale i)
-        of h+, h- and l over the two halves; the call overwrites them."""
-        v_th = p + m
-        v_th *= 0.25 * scale
-        v_ph, scratch = np.subtract(p, m, out=p), m
-        v_ph *= 0.25j * scale
-        v_k *= 0.5 * scale
-        u = self.cos_t * v_th  # the in-plane radial part
-        u += np.multiply(self.sin_t, v_k, out=scratch)
-        inv, out = self.space.inv, np.empty((3, *self.space.grid.shape))
-        v_k *= self.cos_t
-        v_k -= np.multiply(self.sin_t, v_th, out=scratch)
-        out[2] = inv(v_k)
-        np.multiply(self.cphi, u, out=v_th)
-        v_th -= np.multiply(self.sphi, v_ph, out=scratch)
-        out[0] = inv(v_th)
-        u *= self.sphi
-        u += np.multiply(self.cphi, v_ph, out=scratch)
-        out[1] = inv(u)
-        return out
+    def _unproject(self, v_th, v_ph, v_k):
+        """The Cartesian components z, x, y, one at a time, of the vector
+        spectrum with triad components (v_th, v_ph, v_k): the transpose of
+        _project, so a caller can transform each before the next exists."""
+        yield self.cos_t * v_k - self.sin_t * v_th
+        u = self.cos_t * v_th + self.sin_t * v_k  # the in-plane radial part
+        yield self.cphi * u - self.sphi * v_ph
+        yield self.sphi * u + self.cphi * v_ph
 
     def spectra(self, state: FieldState) -> np.ndarray:
-        """The (2, 5, *half) pair of a state (see the class), from the rfftn
-        of E and B on the triad and of each chi field."""
+        """The (2, 5, *half) pair of a state (see the class): the halves are
+        psi = E - iB and its partner E + iB, each projected on the triad as
+        h+- = th^.v -+ i ph^.v and l = k^.v, then the rfftn of each chi field."""
         fwd = self.space.fwd
-        e_th, e_ph, e_k = self._project(fwd(state.e))
-        b_th, b_ph, b_k = self._project(fwd(state.b))
-        out = np.empty((2, 5, *e_th.shape), dtype=np.complex128)
-        (hp, hm, ell, _, _), (hp_c, hm_c, ell_c, _, _) = out
-        # h+ = (E_th - B_ph) - i (B_th + E_ph), h-_c its partner with +i
-        p, iq = e_th - b_ph, 1j * (b_th + e_ph)
-        np.subtract(p, iq, out=hp)
-        np.add(p, iq, out=hm_c)
-        # h- = (E_th + B_ph) + i (E_ph - B_th), h+_c its partner with -i
-        p, iq = e_th + b_ph, 1j * (e_ph - b_th)
-        np.add(p, iq, out=hm)
-        np.subtract(p, iq, out=hp_c)
-        del p, iq, e_th, e_ph, b_th, b_ph
-        ib = 1j * b_k
-        np.subtract(e_k, ib, out=ell)
-        np.add(e_k, ib, out=ell_c)
-        del ib, e_k, b_k
+        e, ib = fwd(state.e), fwd(state.b)
+        ib *= 1j
+        out = np.empty((2, 5, *e.shape[1:]), dtype=np.complex128)
+        for half, combine in zip(out, (np.subtract, np.add)):
+            # psi, then its partner, in the slots its triad components replace
+            th, iph, half[2] = self._project(combine(e, ib, out=half[:3]))
+            iph *= 1j
+            np.subtract(th, iph, out=half[0])
+            np.add(th, iph, out=half[1])
         out[0, 3], out[0, 4] = fwd(state.chi_re), fwd(state.chi_re_t)
         out[1, 3], out[1, 4] = fwd(state.chi_im), fwd(state.chi_im_t)
         return out
 
     def state(self, spectra, t: float) -> FieldState:
         """Real-space state at time t from the pair of spectra, field by
-        field: E = Re psi from the sums of the two halves, B = -Im psi from
-        their differences, and each chi field from its own slot."""
+        field: E = (psi + partner)/2 from the sums of the two halves' triad
+        components, B = i (psi - partner)/2 from their differences, each
+        unprojected and transformed one component at a time, and each chi
+        field from its own slot."""
         (hp, hm, ell, _, _), (hp_c, hm_c, ell_c, _, _) = spectra
-        e = self._real(hp + hp_c, hm + hm_c, ell + ell_c, 1.0)
-        b = self._real(hp - hp_c, hm - hm_c, ell - ell_c, 1j)
+        e, b = np.empty((3, *self.space.grid.shape)), np.empty((3, *self.space.grid.shape))
+        for out, combine, scale in ((e, np.add, 1.0), (b, np.subtract, 1j)):
+            p, m = combine(hp, hp_c), combine(hm, hm_c)
+            # th^.v = (h+ + h-)/2 and ph^.v = i (h+ - h-)/2 on either half: E's triad
+            # is ((p + m)/4, i (p - m)/4, (l + l_c)/2) with p = h+ + h+_c, m = h- + h-_c,
+            # and B's is i times the same with differences in place of the sums
+            triad = (p + m, np.subtract(p, m, out=p), combine(ell, ell_c))
+            del m
+            for v, factor in zip(triad, (0.25, 0.25j, 0.5)):
+                v *= factor * scale
+            for a, v in zip((2, 0, 1), self._unproject(*triad)):
+                out[a] = self.space.inv(v)
         # Zero fields are rows of one unwritten block: no pages, unlike one zero array each.
         slots = (spectra[0, 3], spectra[1, 3], spectra[0, 4], spectra[1, 4])
         nonzero = [slot.any() for slot in slots]

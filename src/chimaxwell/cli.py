@@ -283,15 +283,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be >= 1")
-        return value
+    def int_from(low: int):
+        def integer(text: str) -> int:
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"must be >= {low}")
+            return value
+        return integer
 
     p_verify = sub.add_parser("verify", help="run the seeded identity suites")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=positive_int, default=1000)
+    p_verify.add_argument("--seed", type=int_from(0), default=0)
+    p_verify.add_argument("--trials", type=int_from(1), default=1000)
     p_verify.add_argument("--out", default=".")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -40,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMode, NonpositiveMass, ZeroMomentum
+from .errors import ChiMaxwellError, DegenerateMode, NonpositiveMass, ZeroMomentum
+from .planewaves import _momentum
 
 __all__ = [
     "NormalizationScheme",
@@ -175,10 +176,25 @@ def _four_momentum(pol: Polarization4) -> np.ndarray:
 
 
 def _check_mass(m: float) -> None:
-    if np.any(np.asarray(m) <= 0.0):
+    m = np.asarray(m)
+    if np.any(m <= 0.0):
         raise NonpositiveMass(
             "modes are defined for m > 0; probe m -> 0 with massless_scaling"
         )
+    if not np.all(np.isfinite(m)):  # a NaN mass passes the test above, not this one
+        raise ChiMaxwellError("modes are defined for a finite mass, not NaN or inf")
+
+
+def _finite(compute, *args) -> np.ndarray:
+    """compute(*args), a mode amplitude, rejected unless every value is
+    finite: at a tiny mass its 1/m factors overflow double precision.  The
+    overflow raises no warning, since the rejection reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compute(*args)
+    if not np.all(np.isfinite(values)):
+        raise ChiMaxwellError("a mode amplitude overflows double precision "
+                              "(the mass is too small for this momentum and scheme)")
+    return values
 
 
 def _check_sign(energy_sign: int) -> None:
@@ -196,27 +212,30 @@ def polarization_vector(
     of the 4-vector field.
     """
     _check_mass(m)
-    p = np.asarray(p, dtype=np.float64)
+    p = _momentum(p)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = np.asarray(m, dtype=np.float64)
-    n = scheme(m)
+    u = _finite(_closed_form, p, mode, m, scheme(m))
+    return Polarization4(u, mode, p, m[()], scheme)
+
+
+def _closed_form(p: np.ndarray, mode: str, m, n) -> np.ndarray:
+    """The polarization 4-vector u of a mode under the normalization n."""
     p1, p2, p3 = np.moveaxis(p, -1, 0)
     ep = energy_of(p, m)
     pr = p1 + 1j * p2
     pl = p1 - 1j * p2
     if mode == "+1":
-        u = _scaled(-(n / (math.sqrt(2) * m)), pr, m + p1 * pr / (ep + m),
-                    1j * m + p2 * pr / (ep + m), p3 * pr / (ep + m))
-    elif mode == "-1":
-        u = _scaled(n / (math.sqrt(2) * m), pl, m + p1 * pl / (ep + m),
-                    -1j * m + p2 * pl / (ep + m), p3 * pl / (ep + m))
-    elif mode == "0":
-        u = _scaled(n / m, p3, p1 * p3 / (ep + m), p2 * p3 / (ep + m),
-                    m + p3 * p3 / (ep + m))
-    else:  # "0_t"
-        u = _scaled(n / m, ep, p1, p2, p3)
-    return Polarization4(u, mode, p, m[()], scheme)
+        return _scaled(-(n / (math.sqrt(2) * m)), pr, m + p1 * pr / (ep + m),
+                       1j * m + p2 * pr / (ep + m), p3 * pr / (ep + m))
+    if mode == "-1":
+        return _scaled(n / (math.sqrt(2) * m), pl, m + p1 * pl / (ep + m),
+                       -1j * m + p2 * pl / (ep + m), p3 * pl / (ep + m))
+    if mode == "0":
+        return _scaled(n / m, p3, p1 * p3 / (ep + m), p2 * p3 / (ep + m),
+                       m + p3 * p3 / (ep + m))
+    return _scaled(n / m, ep, p1, p2, p3)
 
 
 def _printed_triplet(p: np.ndarray, mode: str, kind: str, m, n) -> np.ndarray:
@@ -264,7 +283,7 @@ def field_triplet(
     assuming them.
     """
     _check_mass(m)
-    p = np.asarray(p, dtype=np.float64)
+    p = _momentum(p)
     if mode not in TRIPLET_MODES:
         raise ValueError(f"field triplets exist for modes {TRIPLET_MODES}, got {mode!r}")
     if kind not in ("B", "E"):
@@ -273,7 +292,7 @@ def field_triplet(
         raise ValueError("energy_sign must be +1 or -1")
     if energy_sign == +1:
         m = np.asarray(m, dtype=np.float64)
-        vec = _printed_triplet(p, mode, kind, m, scheme(m))
+        vec = _finite(_printed_triplet, p, mode, kind, m, scheme(m))
     else:
         pol = polarization_vector(p, mode, m, scheme)
         conj = Polarization4(np.conj(pol.u), mode, p, pol.mass, scheme)
@@ -287,8 +306,9 @@ def ast_from_potential(pol: Polarization4, energy_sign: int) -> ASTField:
     of the plane wave u exp(-/+ ipx).  The time-like mode gives F = 0 exactly."""
     _check_sign(energy_sign)
     p4, u = _four_momentum(pol), pol.u
-    factor = -1j * np.asarray(energy_sign) / (2.0 * np.asarray(pol.mass))
-    return ASTField(factor[..., None, None] * _wedge(p4, u))
+    sign, mass = np.asarray(energy_sign), np.asarray(pol.mass)
+    return ASTField(_finite(lambda: (-1j * sign / (2.0 * mass))[..., None, None]
+                            * _wedge(p4, u)))
 
 
 def electric_from_ast(f: ASTField | np.ndarray) -> np.ndarray:
@@ -388,7 +408,7 @@ def massless_scaling(
     double-precision underflow in the 1/m^2 terms.  p is one momentum; the
     ladder is the batch of a single `polarization_vector` call.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = _momentum(p)
     if np.linalg.norm(p) == 0.0:
         raise ZeroMomentum("massless scan requires |p| > 0")
     masses = np.asarray(masses, dtype=np.float64)

@@ -249,6 +249,12 @@ class TestStep:
         with pytest.raises(CFLViolation):
             step(state, 10.0 * cfl_bound(g))
 
+    def test_nan_dt_rejected(self):
+        g = Grid(16, TWO_PI, dims=1)
+        state = init_state(g, {"type": "chi_planewave", "params": {"k": [1]}})
+        with pytest.raises(ChiMaxwellError):
+            step(state, float("nan"))
+
     def test_uniform_static_fields_unchanged(self):
         g = Grid(16, TWO_PI, dims=3)
         e = np.ones((3, *g.shape)) * np.array([0.3, -0.2, 0.9])[:, None, None, None]
@@ -596,6 +602,23 @@ def violating_state(g, seed):
     return FieldState(g, 0.375, np.stack([field() for _ in range(3)]),
                       np.stack([field() for _ in range(3)]),
                       *(field() for _ in range(4)))
+
+
+class TestPackUnpack:
+    @pytest.mark.parametrize("n, dims", [(16, 3), (64, 1)])
+    def test_state_of_spectra_is_the_state(self, n, dims):
+        # Random fields with Im chi, the k = 0 bin and every Nyquist bin:
+        # packing into the propagator's spectra and unpacking again returns
+        # every field to roundoff.
+        g = Grid(n, TWO_PI, dims=dims)
+        state = violating_state(g, 70 + dims)
+        prop = chi_solver._Propagator(g)
+        back = prop.state(prop.spectra(state), state.t)
+        assert back.grid == g and back.t == state.t
+        for name in chi_solver.SNAPSHOT_FIELDS:
+            want, got = getattr(state, name), getattr(back, name)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 class TestSpectralDiagnostics:

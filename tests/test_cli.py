@@ -59,6 +59,12 @@ class TestVerifyCommand:
             main(["verify", "--trials", "0", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_negative_seed_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
     def test_failing_check_exit_one(self, tmp_path, monkeypatch):
         from chimaxwell import cli as cli_mod
         from chimaxwell.verify import VerifyReport
@@ -143,6 +149,23 @@ class TestMasslessScan:
         rows = list(csv.DictReader((tmp_path / "massless_scan.csv").open()))
         assert set(rows[0]) == {"m", "norm", "mode", "scheme"}
         assert len(rows) == 6
+
+    @pytest.mark.parametrize("args", [
+        ["polarization-table", "--p", "1e200,0,0"],
+        ["polarization-table", "--p", "nan,0,0"],
+        ["polarization-table", "--mass", "nan"],
+        ["polarization-table", "--mass", "inf"],
+        ["polarization-table", "--mass", "1e-320"],  # 1/m overflows
+        ["massless-scan", "--p", "nan,0,0"],
+        ["massless-scan", "--p", "1e200,0,0"],
+    ], ids=["table-p-huge", "table-p-nan", "table-mass-nan", "table-mass-inf",
+            "table-mass-tiny", "scan-p-nan", "scan-p-huge"])
+    def test_non_finite_inputs_exit_code(self, tmp_path, capsys, args):
+        # one error line, no warning before it, and no file written
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
 
 class TestPlanewaveCommand:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chimaxwell.errors import DegenerateMode, NonpositiveMass, ZeroMomentum
+from chimaxwell.errors import ChiMaxwellError, DegenerateMode, NonpositiveMass, ZeroMomentum
 from chimaxwell.polarization import (
     CONSTANT,
     MASS,
@@ -71,6 +71,22 @@ class TestPolarizationVector:
         for bad in (0.0, -1.0):
             with pytest.raises(NonpositiveMass):
                 polarization_vector(REST, "+1", bad)
+
+    def test_non_finite_mass_rejected(self):
+        for bad in (np.nan, np.inf, np.array([1.0, np.nan])):
+            with pytest.raises(ChiMaxwellError, match="finite mass"):
+                polarization_vector(REST, "+1", bad)
+
+    def test_overflowing_amplitude_rejected(self):
+        # At m = 1e-320 the 1/m factors overflow: those of u and of the
+        # positive-frequency triplets under N = 1, and that of F = (i/2m)
+        # p ^ u, which the negative-frequency triplets take, even under N = m.
+        p = np.array([0.3, -0.4, 1.2])
+        for call in (lambda: polarization_vector(p, "0", 1e-320),
+                     lambda: field_triplet(p, "+1", "E", +1, 1e-320),
+                     lambda: field_triplet(p, "+1", "E", -1, 1e-320, MASS)):
+            with pytest.raises(ChiMaxwellError, match="overflows"):
+                call()
 
     def test_doubling_n_doubles_components_exactly(self):
         double = NormalizationScheme("double", lambda m: 2.0)
