@@ -763,23 +763,28 @@ def run(
     return snapshots[-1], diags, snapshots
 
 
-def save_snapshot(state: FieldState, path_base: str | Path) -> None:
-    """Write <base>.bin (flat little-endian float64, C order, fields in
-    SNAPSHOT_FIELDS order) plus a <base>.json sidecar with the layout."""
-    base = Path(path_base)
-    header = {
+def _snapshot_header(grid: Grid, t: float) -> dict:
+    """The chimaxwell-snapshot-v1 sidecar of a state on grid at time t."""
+    return {
         "format": "chimaxwell-snapshot-v1",
-        "time": state.t,
-        "grid": {"n": state.grid.n, "length": state.grid.length, "dims": state.grid.dims},
+        "time": t,
+        "grid": {"n": grid.n, "length": grid.length, "dims": grid.dims},
         "fields": list(SNAPSHOT_FIELDS),
         "components": {"e": 3, "b": 3, "chi_re": 1, "chi_im": 1, "chi_re_t": 1, "chi_im_t": 1},
         "dtype": "float64",
         "endianness": "little",
         "order": "C",
     }
+
+
+def save_snapshot(state: FieldState, path_base: str | Path) -> None:
+    """Write <base>.bin (flat little-endian float64, C order, fields in
+    SNAPSHOT_FIELDS order) plus a <base>.json sidecar with the layout."""
+    base = Path(path_base)
     # Serialized first, so a non-finite time fails before any file is written.
     try:
-        text = json.dumps(header, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(_snapshot_header(state.grid, state.t), indent=2, sort_keys=True,
+                          allow_nan=False)
     except ValueError as exc:
         raise ChiMaxwellError(f"snapshot header: {exc}") from exc
     parts = [np.ascontiguousarray(getattr(state, name), dtype="<f8").ravel()
@@ -789,27 +794,37 @@ def save_snapshot(state: FieldState, path_base: str | Path) -> None:
 
 
 def load_snapshot(path_base: str | Path) -> FieldState:
-    """Inverse of save_snapshot; bit-faithful round trip."""
+    """Inverse of save_snapshot; bit-faithful round trip.
+
+    Reads only the layout save_snapshot writes: a sidecar that differs from
+    the v1 header of its own grid and time in any key or value (another
+    format, field order or component count, dtype, endianness or order; a
+    missing key or an extra one), or whose time is not a finite number, raises
+    ChiMaxwellError naming the .json file, and so does a .bin whose size does
+    not match the header."""
     base = Path(path_base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    grid = Grid(**header["grid"])
+    json_path = base.with_suffix(".json")
+    text = json_path.read_text()
+    try:
+        header = json.loads(text)
+        grid = Grid(**header["grid"])
+        t = float(header["time"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ChiMaxwellError(f"{json_path}: not a chimaxwell-snapshot-v1 header: "
+                              f"{exc}") from exc
+    if (not math.isfinite(t) or isinstance(header["time"], bool)
+            or header != _snapshot_header(grid, t)):
+        raise ChiMaxwellError(f"{json_path}: not a chimaxwell-snapshot-v1 header "
+                              "with a finite time")
     bin_path = base.with_suffix(".bin")
     raw = np.fromfile(bin_path, dtype="<f8")
-    cells = int(np.prod(grid.shape))
-    expected = cells * sum(header["components"][name] for name in header["fields"])
+    expected = math.prod(grid.shape) * sum(header["components"].values())
     if raw.size != expected:
         raise ChiMaxwellError(f"{bin_path} holds {raw.size} float64 values; "
                               f"its header implies {expected}")
-    arrays = {}
-    offset = 0
-    for name in header["fields"]:
-        comps = header["components"][name]
-        count = comps * cells
-        block = raw[offset:offset + count]
-        shape = (3, *grid.shape) if comps == 3 else grid.shape
-        arrays[name] = block.reshape(shape).copy()
-        offset += count
-    return FieldState(grid, float(header["time"]), **arrays)
+    # Rows e_x, e_y, e_z, b_x, b_y, b_z, chi_re, chi_im, chi_re_t, chi_im_t.
+    rows = raw.reshape(-1, *grid.shape)
+    return FieldState(grid, t, rows[0:3], rows[3:6], *rows[6:])
 
 
 def write_diagnostics_csv(path: str | Path, diags: list[Diagnostics]) -> None:

@@ -45,8 +45,6 @@ def _parse_vec3(text: str) -> np.ndarray:
 
 
 def _parse_modes(text: str) -> list[str]:
-    if not text:
-        return []
     modes = [m.strip() for m in text.split(",") if m.strip()]
     for m in modes:
         if m not in pol.MODES:
@@ -81,37 +79,30 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall_pass else 1
 
 
-def _triplet_rows(p: np.ndarray, mode: str, m: float, scheme) -> list[str]:
-    rows = []
-    for kind in ("B", "E"):
-        for sign in (+1, -1):
-            trip = pol.field_triplet(p, mode, kind, sign, m, scheme)
-            for comp in range(3):
-                val = trip.vec[comp]
-                rows.append(",".join([
-                    kind, mode, f"{sign:+d}", str(comp + 1),
-                    _fmt(val.real), _fmt(val.imag),
-                ]))
-    return rows
+def _table_vectors(p: np.ndarray, modes: list[str], m: float, scheme):
+    """(field, lambda, energy_sign, index of the first component, amplitude
+    vector) of each block of rows one momentum adds to the table: the u of
+    every mode, then the B and E triplets of every triplet mode."""
+    for mode in modes:
+        yield "u", mode, "", 0, pol.polarization_vector(p, mode, m, scheme).u
+    for mode in (mode for mode in modes if mode in pol.TRIPLET_MODES):
+        for kind in ("B", "E"):
+            for sign in (+1, -1):
+                vec = pol.field_triplet(p, mode, kind, sign, m, scheme).vec
+                yield kind, mode, f"{sign:+d}", 1, vec
 
 
 def _cmd_polarization_table(args) -> int:
     scheme = pol.SCHEMES[args.scheme]
     momenta = args.p or [np.array([0.0, 0.0, 0.0])]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["field,lambda,energy_sign,component,real,imag,px,py,pz,mass"]
     for p in momenta:
-        suffix = ",".join(_fmt(v) for v in p) + "," + _fmt(args.mass)
-        for mode in args.modes:
-            u = pol.polarization_vector(p, mode, args.mass, scheme).u
-            for comp in range(4):
-                lines.append(",".join([
-                    "u", mode, "", str(comp), _fmt(u[comp].real), _fmt(u[comp].imag),
-                ]) + "," + suffix)
-        for mode in args.modes:
-            if mode in pol.TRIPLET_MODES:
-                lines.extend(r + "," + suffix for r in _triplet_rows(p, mode, args.mass, scheme))
+        suffix = ",".join(_fmt(v) for v in (*p, args.mass))
+        for field, mode, sign, first, vec in _table_vectors(p, args.modes, args.mass, scheme):
+            lines += [",".join([field, mode, sign, str(first + i), _fmt(z.real), _fmt(z.imag),
+                                suffix]) for i, z in enumerate(vec)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "polarization_table.csv"
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path} ({len(lines) - 1} rows)")
@@ -120,15 +111,16 @@ def _cmd_polarization_table(args) -> int:
 
 def _cmd_massless_scan(args) -> int:
     scheme = pol.SCHEMES[args.scheme]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # Every norm and slope first, so an input that overflows writes nothing.
     lines = ["m,norm,mode,scheme"]
     slopes = {}
     for mode in args.modes:
-        for m in pol.MASSLESS_SCAN_MASSES:
-            norm = float(np.linalg.norm(pol.polarization_vector(args.p, mode, m, scheme).u))
-            lines.append(f"{_fmt(m)},{_fmt(norm)},{mode},{scheme.label}")
+        norms = pol.massless_norms(mode, scheme, args.p)
+        lines += [f"{_fmt(m)},{_fmt(norm)},{mode},{scheme.label}"
+                  for m, norm in zip(pol.MASSLESS_SCAN_MASSES, norms)]
         slopes[mode] = pol.massless_scaling(mode, scheme, args.p)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "massless_scan.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "scheme": scheme.label,
@@ -146,7 +138,10 @@ def _cmd_planewave(args) -> int:
     state, v = pw.build_generalized_planewave(
         args.p, args.energy_sign, args.amplitude, args.chi
     )
-    r1, r2 = pw.generalized_solution_residual(state, v)
+    # Residuals that overflow reach the strict JSON writer, which rejects
+    # them with the one error line; no warning besides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2 = pw.generalized_solution_residual(state, v)
     payload = {
         "p": [float(x) for x in state.p],
         "energy": state.energy,
@@ -182,6 +177,10 @@ def _number(table: dict, key: str, default=_REQUIRED, integer: bool = False):
         raise ChiMaxwellError(f"{key!r} takes {'an integer' if integer else 'a number'}, "
                               f"got {value!r}")
     return value if integer else float(value)
+
+
+# The residual fields of chi_solver.Diagnostics, as summary.json names them.
+_RESIDUALS = ("gauss_e", "gauss_b", "curl_j", "continuity")
 
 
 def _cmd_simulate(args) -> int:
@@ -235,19 +234,10 @@ def _cmd_simulate(args) -> int:
         "cfl_ratio": dt_eff / chi_solver.cfl_bound(grid),
         "t_end": final.t / c_phys,
         "grid": {"n": grid.n, "L": grid.length, "dims": grid.dims},
-        "final": {
-            "gauss_e": last.gauss_e_residual,
-            "gauss_b": last.gauss_b_residual,
-            "curl_j": last.curl_j_residual,
-            "continuity": last.continuity_residual,
-            "energy": last.energy,
-        },
-        "max_over_series": {
-            "gauss_e": max(d.gauss_e_residual for d in diags),
-            "gauss_b": max(d.gauss_b_residual for d in diags),
-            "curl_j": max(d.curl_j_residual for d in diags),
-            "continuity": max(d.continuity_residual for d in diags),
-        },
+        "final": {**{name: getattr(last, f"{name}_residual") for name in _RESIDUALS},
+                  "energy": last.energy},
+        "max_over_series": {name: max(getattr(d, f"{name}_residual") for d in diags)
+                            for name in _RESIDUALS},
         "energy_drift": abs(diags[-1].energy - diags[0].energy)
         / max(abs(diags[0].energy), 1e-300),
         "l2_change_from_initial": l2_change,
@@ -338,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChiMaxwellError as exc:
+    except (ChiMaxwellError, OSError) as exc:  # OSError: say, an --out that is a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

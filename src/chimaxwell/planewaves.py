@@ -221,9 +221,14 @@ def build_generalized_planewave(
     where e_h is the helicity eigenvector with (S.p_hat) e_h = -energy_sign e_h
     (the homogeneous transverse mode) and the longitudinal part carries chi.
     The residual pair of the output is <= 1e-13 (scaled).  A momentum whose
-    p.p is not finite raises ChiMaxwellError.
+    p.p is not finite, or a NaN or infinite amplitude or chi, raises
+    ChiMaxwellError.
     """
     p = _momentum(p)
+    a = np.asarray(transverse_amplitude, dtype=np.complex128)[..., None]
+    chi = np.asarray(chi, dtype=np.complex128)
+    if not (np.isfinite(a).all() and np.isfinite(chi).all()):
+        raise ChiMaxwellError("transverse amplitude and chi must be finite, not NaN or inf")
     norm = np.linalg.norm(p, axis=-1)
     if np.any(norm == 0.0):
         raise ZeroMomentum("plane-wave construction requires |p| > 0")
@@ -231,8 +236,6 @@ def build_generalized_planewave(
     if not np.isin(sign, (-1, +1)).all():
         raise ValueError("energy_sign must be +1 or -1")
     energy = sign * norm
-    a = np.asarray(transverse_amplitude, dtype=np.complex128)[..., None]
-    chi = np.asarray(chi, dtype=np.complex128)
     psi = a * helicity_eigenvector(p, -sign) + (p / energy[..., None]) * chi[..., None]
     return MomentumState(energy, p, 0.0), RSVector(psi, chi)
 

@@ -65,6 +65,7 @@ __all__ = [
     "proca_residual",
     "normalization_change_check",
     "phase_relation",
+    "massless_norms",
     "massless_scaling",
     "ast_gauge_transform",
     "mode_gram",
@@ -394,6 +395,23 @@ def phase_relation(
     return ratio
 
 
+def massless_norms(
+    mode: str,
+    scheme: NormalizationScheme,
+    p: np.ndarray,
+    masses: tuple[float, ...] = MASSLESS_SCAN_MASSES,
+) -> np.ndarray:
+    """|u(p, mode; m)| over the mass ladder: the norms `massless_scaling`
+    fits, from one batched `polarization_vector` call.  p is one momentum,
+    |p| > 0; a norm that overflows double precision (|u| ~ |p|/m, so
+    |p| ~ 1e150 at m = 1e-6) raises ChiMaxwellError, without a warning."""
+    p = _momentum(p)
+    if np.linalg.norm(p) == 0.0:
+        raise ZeroMomentum("massless scan requires |p| > 0")
+    u = polarization_vector(p, mode, np.asarray(masses, dtype=np.float64), scheme).u
+    return _finite(lambda: np.linalg.norm(u, axis=-1))
+
+
 def massless_scaling(
     mode: str,
     scheme: NormalizationScheme,
@@ -405,15 +423,11 @@ def massless_scaling(
     Slope -1 flags a 1/m divergence of the mode in the massless limit (the
     obstruction to setting m = 0 directly); slope 0 a finite limit.  The
     default ladder 1e-1 .. 1e-6 exposes the asymptote while staying clear of
-    double-precision underflow in the 1/m^2 terms.  p is one momentum; the
-    ladder is the batch of a single `polarization_vector` call.
+    double-precision underflow in the 1/m^2 terms.  The fit is over
+    `massless_norms` of the same arguments.
     """
-    p = _momentum(p)
-    if np.linalg.norm(p) == 0.0:
-        raise ZeroMomentum("massless scan requires |p| > 0")
-    masses = np.asarray(masses, dtype=np.float64)
-    norms = np.linalg.norm(polarization_vector(p, mode, masses, scheme).u, axis=-1)
-    return float(np.polyfit(np.log(masses), np.log(norms), 1)[0])
+    norms = massless_norms(mode, scheme, p, masses)
+    return float(np.polyfit(np.log(np.asarray(masses, dtype=np.float64)), np.log(norms), 1)[0])
 
 
 def ast_gauge_transform(

@@ -1,5 +1,6 @@
 """Pseudo-spectral solver: constraints, oracles, reversibility, IO."""
 
+import json
 import weakref
 
 import numpy as np
@@ -848,6 +849,31 @@ class TestRunAndIO:
         path.write_bytes(path.read_bytes()[:-8])
         # 10 field components of 16 cells, one float64 short
         with pytest.raises(ChiMaxwellError, match=r"snap\.bin holds 159 .* implies 160"):
+            load_snapshot(tmp_path / "snap")
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(fields=["b", "e", *h["fields"][2:]]),
+        lambda h: h["components"].update(e=1, chi_re=3),
+        lambda h: h.pop("components"),
+        lambda h: h.update(time=float("nan")),
+        lambda h: h.update(time=True),  # == 1.0, but not a JSON number
+        lambda h: h.update(format="chimaxwell-snapshot-v2"),
+        lambda h: h.update(dtype="float32"),
+        lambda h: h.update(endianness="big"),
+        lambda h: h.update(order="F"),
+        lambda h: h.update(extra=1),
+        lambda h: h.pop("grid"),
+    ], ids=["b-before-e", "components", "no-components", "nan-time", "bool-time", "format",
+            "dtype", "endianness", "order", "extra-key", "no-grid"])
+    def test_edited_sidecar_rejected(self, tmp_path, edit):
+        # load_snapshot reads only the layout save_snapshot writes
+        g = Grid(8, TWO_PI, dims=1)
+        save_snapshot(init_state(g, gaussian_scenario(TWO_PI / 4)), tmp_path / "snap")
+        path = tmp_path / "snap.json"
+        header = json.loads(path.read_text())
+        edit(header)
+        path.write_text(json.dumps(header))
+        with pytest.raises(ChiMaxwellError, match=r"snap\.json"):
             load_snapshot(tmp_path / "snap")
 
     def test_run_writes_files(self, tmp_path):

@@ -158,8 +158,9 @@ class TestMasslessScan:
         ["polarization-table", "--mass", "1e-320"],  # 1/m overflows
         ["massless-scan", "--p", "nan,0,0"],
         ["massless-scan", "--p", "1e200,0,0"],
+        ["massless-scan", "--p", "1e150,0,0"],  # |u| is finite, its norm is not
     ], ids=["table-p-huge", "table-p-nan", "table-mass-nan", "table-mass-inf",
-            "table-mass-tiny", "scan-p-nan", "scan-p-huge"])
+            "table-mass-tiny", "scan-p-nan", "scan-p-huge", "scan-norm-overflow"])
     def test_non_finite_inputs_exit_code(self, tmp_path, capsys, args):
         # one error line, no warning before it, and no file written
         assert main([*args, "--out", str(tmp_path)]) == 2
@@ -187,6 +188,46 @@ class TestPlanewaveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "planewave.json").exists()
+
+
+    @pytest.mark.parametrize("args", [
+        ["--amplitude", "inf"],
+        ["--amplitude", "nan"],
+        ["--chi", "nan"],
+        ["--chi", "inf"],
+        ["--p", "1e100,0,0", "--amplitude", "1e300"],  # finite psi, overflowing residual
+    ], ids=["amplitude-inf", "amplitude-nan", "chi-nan", "chi-inf", "residual-overflow"])
+    def test_non_finite_amplitudes_exit_code(self, tmp_path, capsys, args):
+        # one error line and no warning before it
+        assert main(["planewave", "--p", "0,0,1", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "planewave.json").exists()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("args, below", [
+        (["verify", "--trials", "1"], False),
+        (["polarization-table"], False),
+        (["massless-scan"], False),
+        (["planewave", "--p", "0,0,1"], False),
+        (["simulate"], False),
+        (["simulate"], True),
+    ], ids=["verify", "polarization-table", "massless-scan", "planewave", "simulate",
+            "simulate-below-a-file"])
+    def test_out_that_cannot_be_a_directory_exit_code(self, tmp_path, capsys, args, below):
+        if args == ["simulate"]:
+            cfg = {"grid": {"n": 8, "L": 1.0, "dims": 1}, "t_end": 0.1,
+                   "scenario": {"type": "vacuum_planewave", "params": {"k": [1]}}}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = [*args, "--config", str(tmp_path / "cfg.json")]
+        path = tmp_path / "taken"
+        path.write_bytes(b"not a directory\n")
+        out = path / "sub" if below else path
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_bytes() == b"not a directory\n"
 
 
 PROFILE_HEADER = "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"

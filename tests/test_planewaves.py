@@ -233,6 +233,12 @@ class TestBuildGeneralizedPlanewave:
         with pytest.raises(ChiMaxwellError, match="not finite"):
             build_generalized_planewave(np.array(p, dtype=float), +1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("amplitude, chi", [(complex("inf"), 0.0), (1.0, complex("nan"))],
+                             ids=["amplitude-inf", "chi-nan"])
+    def test_non_finite_amplitude_or_chi_raises(self, amplitude, chi):
+        with pytest.raises(ChiMaxwellError, match="must be finite"):
+            build_generalized_planewave(np.array([0.0, 0.0, 1.0]), +1, amplitude, chi)
+
     def test_family_is_on_shell(self):
         rng = np.random.default_rng(15)
         for _ in range(200):

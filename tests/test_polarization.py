@@ -1,5 +1,7 @@
 """Polarization modes, field triplets, normalization, and gauge freedom."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from chimaxwell.polarization import (
     energy_of,
     field_triplet,
     magnetic_from_ast,
+    massless_norms,
     massless_scaling,
     minkowski_product,
     mode_gram,
@@ -275,6 +278,22 @@ class TestMasslessScaling:
     def test_zero_momentum_rejected(self):
         with pytest.raises(ZeroMomentum):
             massless_scaling("0", CONSTANT, REST)
+
+    def test_slope_is_the_fit_of_massless_norms(self):
+        p = np.array([0.3, -0.4, 2.5])
+        norms = massless_norms("0", SQRT_MASS, p)
+        batch = polarization_vector(p, "0", np.array(MASSLESS_SCAN_MASSES), SQRT_MASS).u
+        assert np.array_equal(norms, np.linalg.norm(batch, axis=-1))
+        fit = np.polyfit(np.log(MASSLESS_SCAN_MASSES), np.log(norms), 1)[0]
+        assert massless_scaling("0", SQRT_MASS, p) == fit
+
+    @pytest.mark.parametrize("mode, p", [("0", [0, 0, 1e150]), ("0_t", [1e150, 0, 0])])
+    def test_overflowing_norm_rejected(self, mode, p):
+        # |u| ~ |p|/m is 1e156 at m = 1e-6: finite, but its square is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChiMaxwellError, match="overflows"):
+                massless_scaling(mode, CONSTANT, p)
 
 
 class TestGaugeTransform:
