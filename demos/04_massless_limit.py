@@ -17,8 +17,9 @@ from chimaxwell.polarization import (
     MASSLESS_SCAN_MASSES,
     MODES,
     SQRT_MASS,
+    massless_norms,
     massless_scaling,
-    polarization_vector,
+    massless_slope,
 )
 
 p = np.array([1.0, 2.0, 2.0])  # generic direction: p1 + i p2 != 0, p3 != 0
@@ -28,9 +29,8 @@ header = "scheme   mode " + "".join(f"  m=1e-{k} " for k in range(1, 7)) + "  sl
 print(header)
 for scheme in (CONSTANT, MASS, SQRT_MASS):
     for mode in MODES:
-        norms = [np.linalg.norm(polarization_vector(p, mode, m, scheme).u)
-                 for m in MASSLESS_SCAN_MASSES]
-        slope = massless_scaling(mode, scheme, p)
+        norms = massless_norms(mode, scheme, p)
+        slope = massless_slope(norms)
         cells = "".join(f" {n:8.2e}" for n in norms)
         print(f"{scheme.label:<8} {mode:>4}{cells}  {slope:+.2f}")
     print()
@@ -51,9 +51,8 @@ try:
 
     fig, ax = plt.subplots(figsize=(6, 4))
     for mode in MODES:
-        norms = [np.linalg.norm(polarization_vector(p, mode, m, CONSTANT).u)
-                 for m in MASSLESS_SCAN_MASSES]
-        ax.loglog(MASSLESS_SCAN_MASSES, norms, "o-", label=f"mode {mode}")
+        ax.loglog(MASSLESS_SCAN_MASSES, massless_norms(mode, CONSTANT, p), "o-",
+                  label=f"mode {mode}")
     ax.set_xlabel("mass m")
     ax.set_ylabel("|u(p, mode)| with N = 1")
     ax.legend()

@@ -387,8 +387,9 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     prop = _Propagator(grid)
     # The builder's grids (a Poisson potential, a phase) are gone by the
     # time the state is transformed.  Non-finite data raises no warning
-    # here: the gate below rejects it.
-    with np.errstate(invalid="ignore", over="ignore"):
+    # here: the gate below rejects it.  That includes a division by zero,
+    # such as a chi_gaussian width below ~1e-162, whose 2 width^2 is 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         state = _initial_fields(prop.space, scenario, chi_mode)
         spectra = prop.spectra(state)
         sample = prop.diagnostics(spectra, 0.0)

@@ -118,7 +118,7 @@ def _cmd_massless_scan(args) -> int:
         norms = pol.massless_norms(mode, scheme, args.p)
         lines += [f"{_fmt(m)},{_fmt(norm)},{mode},{scheme.label}"
                   for m, norm in zip(pol.MASSLESS_SCAN_MASSES, norms)]
-        slopes[mode] = pol.massless_scaling(mode, scheme, args.p)
+        slopes[mode] = pol.massless_slope(norms)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "massless_scan.csv").write_text("\n".join(lines) + "\n")

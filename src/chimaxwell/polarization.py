@@ -19,8 +19,9 @@ Conventions
 
 The m-dependence of N decides whether each mode survives m -> 0: with N = 1
 the longitudinal and time-like modes blow up like 1/m, while N = m tames the
-transverse modes to a finite limit.  `massless_scaling` measures the
-divergence order directly from the closed forms.
+transverse modes to a finite limit.  `massless_norms` evaluates a mode over
+the mass ladder MASSLESS_SCAN_MASSES in one call, `massless_slope` fits the
+divergence order to those norms, and `massless_scaling` chains the two.
 
 Batches: momenta are (..., 3), masses (...,), polarization vectors (..., 4)
 and field-strength tensors (..., 4, 4); mode, kind and the energy sign of a
@@ -66,6 +67,7 @@ __all__ = [
     "normalization_change_check",
     "phase_relation",
     "massless_norms",
+    "massless_slope",
     "massless_scaling",
     "ast_gauge_transform",
     "mode_gram",
@@ -198,11 +200,6 @@ def _finite(compute, *args) -> np.ndarray:
     return values
 
 
-def _check_sign(energy_sign: int) -> None:
-    if not np.isin(energy_sign, (-1, +1)).all():
-        raise ValueError("energy_sign must be +1 or -1")
-
-
 def polarization_vector(
     p: np.ndarray, mode: str, m: float, scheme: NormalizationScheme = CONSTANT
 ) -> Polarization4:
@@ -305,36 +302,36 @@ def field_triplet(
 def ast_from_potential(pol: Polarization4, energy_sign: int) -> ASTField:
     """Field-strength amplitude F^{mu nu} = (-/+ i / 2m)(p^mu u^nu - p^nu u^mu)
     of the plane wave u exp(-/+ ipx).  The time-like mode gives F = 0 exactly."""
-    _check_sign(energy_sign)
+    if not np.isin(energy_sign, (-1, +1)).all():
+        raise ValueError("energy_sign must be +1 or -1")
     p4, u = _four_momentum(pol), pol.u
     sign, mass = np.asarray(energy_sign), np.asarray(pol.mass)
     return ASTField(_finite(lambda: (-1j * sign / (2.0 * mass))[..., None, None]
                             * _wedge(p4, u)))
 
 
-def electric_from_ast(f: ASTField | np.ndarray) -> np.ndarray:
+def electric_from_ast(f: ASTField) -> np.ndarray:
     """E_i = F^{i0}."""
-    arr = f.f if isinstance(f, ASTField) else np.asarray(f)
-    return arr[..., 1:, 0].copy()
+    return f.f[..., 1:, 0].copy()
 
 
-def magnetic_from_ast(f: ASTField | np.ndarray) -> np.ndarray:
+def magnetic_from_ast(f: ASTField) -> np.ndarray:
     """B_i = -(1/2) eps_ijk F^{jk}."""
-    arr = f.f if isinstance(f, ASTField) else np.asarray(f)
-    return -arr[..., (2, 3, 1), (3, 1, 2)]
+    return -f.f[..., (2, 3, 1), (3, 1, 2)]
 
 
-def proca_residual(pol: Polarization4, energy_sign: int = +1) -> float:
+def proca_residual(pol: Polarization4) -> float:
     """Max-component residual of d_a F^{a mu} + (m/2) A^mu = 0 in momentum
     space, with F built from the potential:
 
         | -(1/2m)(p^2 u^mu - p^mu (p.u)) + (m/2) u^mu |_max.
 
-    Vanishes (<= 1e-12 scaled) for the transverse modes; equals
-    (m/2) max|u^mu| exactly for the time-like mode, which solves only the
-    dispersion relation, not the coupled system -- its spin-0 signature.
+    The residual is quadratic in p^mu, so it is the same for both frequency
+    signs and takes none.  Vanishes (<= 1e-12 scaled) for the transverse
+    modes; equals (m/2) max|u^mu| exactly for the time-like mode, which
+    solves only the dispersion relation, not the coupled system -- its
+    spin-0 signature.
     """
-    _check_sign(energy_sign)
     p4, u = _four_momentum(pol), pol.u
     m = np.asarray(pol.mass)[..., None]
     psq = minkowski_product(p4, p4)[..., None]
@@ -360,17 +357,13 @@ def normalization_change_check(pol: Polarization4) -> float:
     return np.max(np.abs(res), axis=-1)
 
 
-def phase_relation(
-    p: np.ndarray,
-    mode: str,
-    kind: str,
-    m: float,
-    scheme: NormalizationScheme = CONSTANT,
-) -> complex:
+def phase_relation(p: np.ndarray, mode: str, kind: str, m: float) -> complex:
     """Componentwise ratio kind^(+)(p, mode) / kind^(-)(p, -mode).
 
     The ratio must be constant across components (checked to 1e-10 relative);
     it has unit modulus, with sign +1 for modes "+1"/"-1" and -1 for "0".
+    Both triplets carry the same normalization N(m), which cancels, so the
+    ratio takes no scheme.
 
     Raises
     ------
@@ -379,8 +372,8 @@ def phase_relation(
         z-axis), leaving the ratio undefined.
     """
     opposite = {"+1": "-1", "-1": "+1", "0": "0"}[mode]
-    plus = field_triplet(p, mode, kind, +1, m, scheme).vec
-    minus = field_triplet(p, opposite, kind, -1, m, scheme).vec
+    plus = field_triplet(p, mode, kind, +1, m).vec
+    minus = field_triplet(p, opposite, kind, -1, m).vec
     norm_p = np.linalg.norm(plus, axis=-1)
     norm_m = np.linalg.norm(minus, axis=-1)
     vanishes = np.minimum(norm_p, norm_m) <= 1e-13 * np.maximum(
@@ -395,39 +388,32 @@ def phase_relation(
     return ratio
 
 
-def massless_norms(
-    mode: str,
-    scheme: NormalizationScheme,
-    p: np.ndarray,
-    masses: tuple[float, ...] = MASSLESS_SCAN_MASSES,
-) -> np.ndarray:
-    """|u(p, mode; m)| over the mass ladder: the norms `massless_scaling`
-    fits, from one batched `polarization_vector` call.  p is one momentum,
-    |p| > 0; a norm that overflows double precision (|u| ~ |p|/m, so
-    |p| ~ 1e150 at m = 1e-6) raises ChiMaxwellError, without a warning."""
+def massless_norms(mode: str, scheme: NormalizationScheme, p: np.ndarray) -> np.ndarray:
+    """|u(p, mode; m)| over the ladder MASSLESS_SCAN_MASSES, from one
+    batched `polarization_vector` call.  The decade ladder 1e-1 .. 1e-6
+    exposes the asymptote while staying clear of double-precision underflow
+    in the 1/m^2 terms.  p is one momentum, |p| > 0; a norm that overflows
+    double precision (|u| ~ |p|/m, so |p| ~ 1e150 at m = 1e-6) raises
+    ChiMaxwellError, without a warning."""
     p = _momentum(p)
     if np.linalg.norm(p) == 0.0:
         raise ZeroMomentum("massless scan requires |p| > 0")
-    u = polarization_vector(p, mode, np.asarray(masses, dtype=np.float64), scheme).u
+    u = polarization_vector(p, mode, np.array(MASSLESS_SCAN_MASSES), scheme).u
     return _finite(lambda: np.linalg.norm(u, axis=-1))
 
 
-def massless_scaling(
-    mode: str,
-    scheme: NormalizationScheme,
-    p: np.ndarray,
-    masses: tuple[float, ...] = MASSLESS_SCAN_MASSES,
-) -> float:
-    """Log-log slope of |u(p, mode; m)| against m over a decade ladder.
+def massless_slope(norms: np.ndarray) -> float:
+    """Log-log slope of a ladder of `massless_norms` against the masses.
 
     Slope -1 flags a 1/m divergence of the mode in the massless limit (the
-    obstruction to setting m = 0 directly); slope 0 a finite limit.  The
-    default ladder 1e-1 .. 1e-6 exposes the asymptote while staying clear of
-    double-precision underflow in the 1/m^2 terms.  The fit is over
-    `massless_norms` of the same arguments.
+    obstruction to setting m = 0 directly); slope 0 a finite limit.
     """
-    norms = massless_norms(mode, scheme, p, masses)
-    return float(np.polyfit(np.log(np.asarray(masses, dtype=np.float64)), np.log(norms), 1)[0])
+    return float(np.polyfit(np.log(MASSLESS_SCAN_MASSES), np.log(norms), 1)[0])
+
+
+def massless_scaling(mode: str, scheme: NormalizationScheme, p: np.ndarray) -> float:
+    """`massless_slope` of `massless_norms(mode, scheme, p)`."""
+    return massless_slope(massless_norms(mode, scheme, p))
 
 
 def ast_gauge_transform(

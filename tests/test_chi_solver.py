@@ -162,7 +162,8 @@ class TestInitState:
         ({"type": "custom", "params": {"e": nan_field((3, 16))}}, "real"),
         ({"type": "custom", "params": {"chi_im_t": nan_field(16)}}, "complex"),
         (vacuum_scenario([1], amplitude=float("nan")), "real"),
-    ], ids=["nan-in-e", "nan-in-chi_im_t", "nan-amplitude"])
+        (gaussian_scenario(5e-324), "real"),  # 2 width^2 underflows to 0
+    ], ids=["nan-in-e", "nan-in-chi_im_t", "nan-amplitude", "tiny-width"])
     def test_non_finite_data_rejected(self, scenario, chi_mode):
         # a NaN residual must fail the constraint gate, not slip past it
         with pytest.raises(InconsistentScenario):

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chimaxwell import __version__, chi_solver
+from chimaxwell import polarization as pol
 from chimaxwell.cli import _column_text, _write_json, _write_profile_csv, main
 from chimaxwell.errors import ChiMaxwellError
 from chimaxwell.polarization import energy_of
@@ -149,6 +150,22 @@ class TestMasslessScan:
         rows = list(csv.DictReader((tmp_path / "massless_scan.csv").open()))
         assert set(rows[0]) == {"m", "norm", "mode", "scheme"}
         assert len(rows) == 6
+
+    def test_each_mass_ladder_evaluated_once(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate = pol.polarization_vector
+        monkeypatch.setattr(pol, "polarization_vector",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        assert main(["massless-scan", "--out", str(tmp_path)]) == 0
+        assert len(calls) == len(pol.MODES)
+
+    @pytest.mark.parametrize("args", [["--p", "1,2"], ["--modes", "2"]],
+                             ids=["two-component-p", "unknown-mode"])
+    def test_malformed_argument_usage_error(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["massless-scan", *args, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [
         ["polarization-table", "--p", "1e200,0,0"],
@@ -461,6 +478,9 @@ class TestSimulateCommand:
          "scenario": {"type": "vacuum_planewave", "params": {"k": [0, 0, True]}}},
         {"grid": {"n": 8, "L": 1.0, "dims": 1},
          "scenario": {"type": "custom", "params": {"chi_re": [0.5, 0, 0, 0, 0, 0, 0, True]}}},
+        {"scenario": {"type": "chi_gaussian", "params": {"width": 5e-324}}},
+        {"scenario": {"type": "chi_planewave", "params": {"k": [0]}}},
+        {"scenario": {"type": "custom", "params": {"chi_re": [0.0] * 16}}},
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
             "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
             "infinite-energy", "scenario-not-object", "params-not-object",
@@ -472,7 +492,8 @@ class TestSimulateCommand:
             "infinite-amplitude", "string-mode-number", "bool-helicity",
             "string-width", "bool-amplitude", "string-center",
             "custom-field-of-strings", "list-scenario-type", "bool-among-mode-numbers",
-            "bool-among-custom-numbers"])
+            "bool-among-custom-numbers", "tiny-width", "zero-chi-mode",
+            "custom-field-wrong-shape"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:

@@ -13,6 +13,7 @@ from chimaxwell.polarization import (
     MODES,
     SQRT_MASS,
     TRIPLET_MODES,
+    ASTField,
     NormalizationScheme,
     ast_from_potential,
     ast_gauge_transform,
@@ -337,6 +338,19 @@ class TestModeGram:
             expected = np.diag([-m * m, -m * m, -m * m, m * m])
             assert np.max(np.abs(gram - expected)) <= 1e-12 * m * m * (
                 1 + (p @ p) / (m * m))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: polarization_vector(np.ones(3), "2", 1.0),
+    lambda: field_triplet(np.ones(3), "+1", "C", +1, 1.0),
+    lambda: field_triplet(np.ones(3), "+1", "B", 0, 1.0),
+    lambda: ast_from_potential(polarization_vector(np.ones(3), "0", 1.0), 0),
+    lambda: ASTField(np.ones((4, 4))),
+], ids=["unknown-mode", "unknown-kind", "zero-energy-sign", "zero-tensor-sign",
+        "symmetric-tensor"])
+def test_bad_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_mode_constants():

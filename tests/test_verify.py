@@ -45,6 +45,11 @@ CHECKS = [
 ]
 
 
+def test_zero_trials_rejected():
+    with pytest.raises(ValueError):
+        run_verification(0, 0)
+
+
 @pytest.mark.parametrize("trials", [1, 7])
 def test_check_table_is_pinned(trials):
     report = run_verification(3, trials)
