@@ -80,11 +80,21 @@ def spin_dot_p(p: np.ndarray) -> np.ndarray:
     return p[..., 0, :, :] * sx + p[..., 1, :, :] * sy + p[..., 2, :, :] * sz
 
 
+# eps^{ikl} (S_k)^{jm} with l first and (i, j, m) flattened, so that
+# [S x p] is one matrix product; each entry is 0 or +-i
+_CROSS = np.einsum("ikl,kjm->lijm", EPSILON, _SPIN).reshape(3, 27)
+_CROSS.flags.writeable = False
+
+
 def _s_cross_p(p: np.ndarray) -> np.ndarray:
     """[S x p]^{i,jm} = eps^{ikl} (S_k)^{jm} p_l, shape (..., 3, 3, 3).
 
-    Every entry is a single product, so the contraction is exact."""
-    return np.einsum("ikl,kjm,...l->...ijm", EPSILON, _SPIN, p)
+    Computed as p @ _CROSS.  Each entry, i (delta^{ij} p_m - delta^{im} p_j),
+    gets at most one nonzero term, so the product is exact; only the sign of
+    a zero part may differ from another order of summation, which the
+    absolute values every caller takes do not see."""
+    p = np.asarray(p, dtype=np.float64)
+    return (p @ _CROSS).reshape(p.shape[:-1] + (3, 3, 3))
 
 
 def annihilation_residual(p: np.ndarray) -> float:

@@ -6,15 +6,22 @@ the tolerance stated in the corresponding operation's contract.  The report
 is deterministic for a fixed seed, and failures are recorded rather than
 raised, so a full report is always produced.
 
-Each suite draws its inputs trial by trial, in one fixed RNG order, stacks
-them into arrays with a leading trial axis and then evaluates every identity
-once over that batch: the library functions take leading batch axes, so no
-check loops over trials.
+The contract is the sequence of values each seed yields: every suite's
+inputs are what a trial-by-trial loop draws from the stream, in one fixed
+order (`_inputs`).  Draws are batched only where the stream stays the same.
+A suite of uniform values only is one call over all its trials; a mixed
+suite makes one call per run of same-kind draws within a trial, since a
+normal takes a variable number of words from the generator.  The inputs are
+stacked with a leading trial axis and every identity is evaluated once over
+that batch: the library functions take leading batch axes, so no check
+loops over trials.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from . import __version__
 from . import polarization as pol
 from . import planewaves as pw
 from . import spin_algebra as sa
+from .errors import ChiMaxwellError
 
 __all__ = ["CheckResult", "VerifyReport", "run_verification"]
 
@@ -114,25 +122,123 @@ _CHECKS = (
 )
 
 
-def _random_p(rng: np.random.Generator, lo: float = -10.0, hi: float = 10.0) -> np.ndarray:
-    while True:
-        p = rng.uniform(lo, hi, 3)
-        if np.linalg.norm(p) > 1e-3:
-            return p
+# A drawn momentum no longer than this is drawn again.
+_P_MIN = 1e-3
+
+# Memory a trial may take at the peak of run_verification.  tracemalloc
+# measured 1.6-2.0 KB a trial at 1 000, 10 000 and 50 000 trials (the batched
+# suites scale with trials, the rest are capped), so 4 KiB leaves a margin of
+# two.
+_TRIAL_BYTES = 4096
 
 
-def _random_psi(rng: np.random.Generator) -> np.ndarray:
-    return rng.normal(size=3) + 1j * rng.normal(size=3)
+def _random_p(rng: np.random.Generator, lo: float = -10.0, hi: float = 10.0,
+              lead: int = 0) -> np.ndarray:
+    """`lead` values in [lo, hi) and then a momentum in [lo, hi)^3, drawn
+    again while it is no longer than _P_MIN, as one row."""
+    row = rng.uniform(lo, hi, lead + 3)
+    while not np.linalg.norm(row[lead:]) > _P_MIN:
+        row[lead:] = rng.uniform(lo, hi, 3)
+    return row
 
 
-def _random_complex(rng: np.random.Generator) -> complex:
-    return complex(rng.normal(), rng.normal())
+def _each(trials: int, draw, p) -> list[np.ndarray]:
+    """Call draw(p) `trials` times and stack each of its results over the trials."""
+    return [np.array(column) for column in zip(*(draw(p) for _ in range(trials)))]
 
 
-def _draw(trials: int, *draws) -> list[np.ndarray]:
-    """Call each draw in turn, trial by trial, and stack each one's results."""
-    rows = [[draw() for draw in draws] for _ in range(trials)]
-    return [np.array(column) for column in zip(*rows)]
+def _clear(momenta: np.ndarray) -> bool:
+    """Whether _random_p would have kept every momentum as drawn.  The margin
+    keeps a roundoff difference between two norm routines from deciding."""
+    return bool(np.all(np.linalg.norm(momenta, axis=-1) > _P_MIN * (1.0 + 1e-12)))
+
+
+def _draw(rng: np.random.Generator, trials: int, draw) -> list[np.ndarray]:
+    """`_each` over draw(p), where p(lo, hi, lead) stands for
+    _random_p(rng, lo, hi, lead).
+
+    The momenta are drawn unchecked, one uniform call a row, and checked
+    together afterwards.  Only when one is too short (a chance below 1e-7 a
+    suite at 1 000 trials) is rng rewound and every trial drawn again through
+    _random_p.  Either way rng yields the values of the trial-by-trial loop."""
+    state = rng.bit_generator.state
+    momenta = []
+
+    def unchecked(lo: float, hi: float, lead: int = 0) -> np.ndarray:
+        row = rng.uniform(lo, hi, lead + 3)
+        momenta.append(row[lead:])
+        return row
+
+    columns = _each(trials, draw, unchecked)
+    if _clear(np.reshape(momenta, (-1, 3))):
+        return columns
+    rng.bit_generator.state = state
+    return _each(trials, draw, partial(_random_p, rng))
+
+
+def _draw_uniform(rng: np.random.Generator, trials: int, p_bounds, *bounds) -> list[np.ndarray]:
+    """Per trial, a momentum in p_bounds^3 and then one uniform value in each
+    of `bounds`: the (trials, 3) momenta and then one (trials,) array each.
+
+    All of it is one rng.uniform(low, high, (trials, k)) call with per-column
+    bounds.  Generator fills it in C order, entry by entry, as
+    low + (high - low) * next_double, so it holds the values the trials would
+    draw one by one.  When a momentum is too short, rng is rewound and the
+    trials are drawn one by one through _random_p."""
+    low, high = np.array([p_bounds] * 3 + list(bounds), dtype=np.float64).T
+    state = rng.bit_generator.state
+    rows = rng.uniform(low, high, (trials, low.size))
+    if _clear(rows[:, :3]):
+        return [rows[:, :3].copy(), *rows[:, 3:].T.copy()]
+    rng.bit_generator.state = state
+    return _each(trials, lambda p: (p(*p_bounds), *(rng.uniform(*b) for b in bounds)),
+                 partial(_random_p, rng))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """complex(re, im) entry by entry, exactly: re + 1j * im can turn a -0.0
+    into +0.0."""
+    return np.stack((re, im), axis=-1).view(np.complex128)[..., 0]
+
+
+def _inputs(rng: np.random.Generator, trials: int) -> dict[str, tuple[np.ndarray, ...]]:
+    """Every suite's random inputs, keyed by suite, in the order rng yields
+    them.  Drawing fewer times changes no value: see `_draw`.  Each array is
+    contiguous, as the stacked trial-by-trial rows were, so that no
+    reduction over it can take another order of summation."""
+    # bit(0, 2) takes the words rng.choice([-1, 1]) would, and (-1, 1)[bit]
+    # is 2 * bit - 1
+    uniform, normal, bit = rng.uniform, rng.normal, rng.integers
+    inputs = {"spin": tuple(_draw_uniform(rng, trials, (-10.0, 10.0)))}
+
+    p, bits, phase = _draw(rng, min(trials, 200), lambda p: (
+        p(-10.0, 10.0), bit(0, 2), uniform(0, 2 * np.pi)))
+    inputs["chain"] = p, 2 * bits - 1, phase
+
+    ep, z = _draw(rng, trials, lambda p: (p(-10.0, 10.0, 1), normal(size=8)))
+    inputs["factorization"] = (ep[:, 0].copy(), ep[:, 1:].copy(), z[:, :3] + 1j * z[:, 3:6],
+                               _complex(z[:, 6], z[:, 7]))
+
+    p, bits, z = _draw(rng, trials, lambda p: (p(-10.0, 10.0), bit(0, 2), normal(size=4)))
+    inputs["generalized"] = p, 2 * bits - 1, _complex(z[:, 0], z[:, 1]), _complex(z[:, 2], z[:, 3])
+
+    e, p, z = _draw(rng, min(trials, 200), lambda p: (uniform(-5, 5), p(-10.0, 10.0),
+                                                      normal(size=6)))
+    inputs["chi_zero"] = e, p, z[:, :3] + 1j * z[:, 3:]
+
+    inputs["polarization"] = tuple(_draw_uniform(rng, trials, (-3.0, 3.0), (0.2, 3.0)))
+
+    def off_axis(p):
+        # m is drawn only for momenta clear of the degenerate z-axis rays
+        q = p(-3.0, 3.0)
+        return q, (uniform(0.2, 3.0) if min(abs(q[0]), abs(q[1])) >= 1e-2 else np.nan)
+
+    p, m = _draw(rng, min(trials, 100), off_axis)
+    kept = ~np.isnan(m)
+    inputs["phase"] = p[kept], m[kept]
+
+    inputs["gauge"] = tuple(_draw_uniform(rng, min(trials, 100), (-3.0, 3.0), (0.2, 3.0)))
+    return inputs
 
 
 def _worst(*residuals) -> float:
@@ -152,10 +258,16 @@ def _printed_over_derived(p, mode: str, kind: str, m) -> complex:
 
 
 def run_verification(seed: int, trials: int) -> VerifyReport:
-    """Run every identity and residual suite with a single seeded RNG."""
+    """Run every identity and residual suite with a single seeded RNG.
+
+    A trial count whose batches would not fit in physical memory raises
+    ChiMaxwellError before anything is drawn."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    if trials * _TRIAL_BYTES > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ChiMaxwellError(f"{trials} trials exceed the physical memory "
+                              f"({_TRIAL_BYTES} bytes a trial)")
+    inputs = _inputs(np.random.default_rng(seed), trials)
     worst = {}
 
     # --- spin algebra -----------------------------------------------------
@@ -166,7 +278,7 @@ def run_verification(seed: int, trials: int) -> VerifyReport:
     worst["spin.hermiticity"] = _worst(np.abs(mats - mats.conj().swapaxes(-1, -2)))
     worst["spin.singularity"] = _worst(sa.singularity_report())
 
-    (p,) = _draw(trials, lambda: _random_p(rng))
+    (p,) = inputs["spin"]
     norm = np.linalg.norm(p, axis=-1)
     eig = np.linalg.eigvalsh(sa.spin_dot_p(p / norm[:, None]))
     worst["spin.helicity_spectrum"] = _worst(np.abs(eig - np.array([-1.0, 0.0, 1.0])))
@@ -174,22 +286,19 @@ def run_verification(seed: int, trials: int) -> VerifyReport:
     worst["spin.product_identity"] = _worst(*(
         sa.product_identity_residual(axis, p) / (1.0 + norm) for axis in ("x", "y", "z")))
 
-    p, h, phase = _draw(min(trials, 200), lambda: _random_p(rng),
-                        lambda: int(rng.choice([-1, 1])), lambda: rng.uniform(0, 2 * np.pi))
+    p, h, phase = inputs["chain"]
     psi = pw.helicity_eigenvector(p, h) * np.exp(1j * phase)[:, None]
     pt = -h * np.linalg.norm(p, axis=-1)
     worst["spin.derived_chain"] = _worst(*sa.dirac_chain_residual(p, pt, psi))
 
     # --- plane-wave families ----------------------------------------------
-    e, p, psi, chi = _draw(trials, lambda: rng.uniform(-10.0, 10.0), lambda: _random_p(rng),
-                           lambda: _random_psi(rng), lambda: _random_complex(rng))
+    e, p, psi, chi = inputs["factorization"]
     scale = (1.0 + e * e + np.sum(p * p, axis=-1)) * np.maximum(
         np.linalg.norm(psi, axis=-1), 1e-300)
     residual = pw.factorization_residual(pw.MomentumState(e, p), pw.RSVector(psi, chi))
     worst["planewave.factorization_identity"] = _worst(residual / scale)
 
-    p, sign, a, chi = _draw(trials, lambda: _random_p(rng), lambda: int(rng.choice([-1, 1])),
-                            lambda: _random_complex(rng), lambda: _random_complex(rng))
+    p, sign, a, chi = inputs["generalized"]
     state, v = pw.build_generalized_planewave(p, sign, a, chi)
     norm = np.linalg.norm(p, axis=-1)
     scale = (1.0 + abs(state.energy) + norm) * np.maximum(
@@ -200,15 +309,14 @@ def run_verification(seed: int, trials: int) -> VerifyReport:
         abs(abs(state.energy) - norm) / np.maximum(1.0, norm))
     worst["planewave.chi_forces_shell"] = _worst(pw.chi_onshell_residual(state, v) / scale)
 
-    e, p, psi = _draw(min(trials, 200), lambda: rng.uniform(-5, 5), lambda: _random_p(rng),
-                      lambda: _random_psi(rng))
+    e, p, psi = inputs["chi_zero"]
     state, v = pw.MomentumState(e, p), pw.RSVector(psi, 0j)
     gen = pw.generalized_solution_residual(state, v)
     std = pw.standard_solution_residual(state, v)
     worst["planewave.chi_zero_reduction"] = _worst(abs(gen[0] - std[0]), abs(gen[1] - std[1]))
 
     # --- polarization modes -------------------------------------------------
-    p, m = _draw(trials, lambda: _random_p(rng, -3.0, 3.0), lambda: rng.uniform(0.2, 3.0))
+    p, m = inputs["polarization"]
     ep = pol.energy_of(p, m)
     p4, psq = pol.four_momentum(p, ep), np.sum(p * p, axis=-1)
     transversality, proca_t, norm_change = [], [], []
@@ -232,14 +340,7 @@ def run_verification(seed: int, trials: int) -> VerifyReport:
     worst["polarization.mode_orthogonality"] = _worst(
         np.abs(gram - gram * np.eye(4)) / (m * m)[:, None, None])
 
-    # m is drawn only for momenta clear of the degenerate z-axis rays
-    kept_p, kept_m = [], []
-    for _ in range(min(trials, 100)):
-        p = _random_p(rng, -3.0, 3.0)
-        if min(abs(p[0]), abs(p[1])) >= 1e-2:
-            kept_p.append(p)
-            kept_m.append(rng.uniform(0.2, 3.0))
-    p, m = np.reshape(kept_p, (-1, 3)), np.array(kept_m)
+    p, m = inputs["phase"]
     p_ref = np.array([0.3, -0.4, 0.5])
     phase_mod, phase_sign, oracle_spread = [], [], []
     for kind in ("B", "E"):
@@ -259,8 +360,7 @@ def run_verification(seed: int, trials: int) -> VerifyReport:
         for mode, scheme, expected in (("0_t", pol.CONSTANT, -1.0), ("0", pol.CONSTANT, -1.0),
                                        ("+1", pol.MASS, 0.0), ("-1", pol.MASS, 0.0))))
 
-    p, m = _draw(min(trials, 100), lambda: _random_p(rng, -3.0, 3.0),
-                 lambda: rng.uniform(0.2, 3.0))
+    p, m = inputs["gauge"]
     f = pol.ast_from_potential(pol.polarization_vector(p, "+1", m), +1)
     ep = pol.energy_of(p, m)
     f2 = pol.ast_gauge_transform(f, 2.0 * pol.four_momentum(p, ep), p, ep)

@@ -66,6 +66,18 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    def test_trials_exceeding_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 2**62 trials are 2**74 bytes: rejected before any input is drawn
+        def unreachable(rng, trials):
+            raise AssertionError("inputs were drawn")
+
+        monkeypatch.setattr("chimaxwell.verify._inputs", unreachable)
+        assert main(["verify", "--trials", str(2**62), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "physical memory" in err
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_failing_check_exit_one(self, tmp_path, monkeypatch):
         from chimaxwell import cli as cli_mod
         from chimaxwell.verify import VerifyReport

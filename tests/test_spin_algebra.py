@@ -16,6 +16,7 @@ from chimaxwell.spin_algebra import (
     singularity_report,
     spin_dot_p,
 )
+from chimaxwell.spin_algebra import _s_cross_p
 
 finite_component = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -143,6 +144,16 @@ class TestProductIdentity:
                     product_identity_residual(axis, p) / (1.0 + np.linalg.norm(p)),
                 )
         assert worst <= 1e-13
+
+    def test_s_cross_p_is_exact(self):
+        # [S x p]^{i,jm} = i (delta^{ij} p_m - delta^{im} p_j): at most one
+        # term an entry, so the tensor holds no roundoff at all
+        p = np.random.default_rng(3).uniform(-10, 10, (50, 3))
+        eye = np.eye(3)
+        exact = 1j * (eye[:, :, None] * p[:, None, None, :]
+                      - eye[:, None, :] * p[:, None, :, None])
+        assert np.array_equal(_s_cross_p(p), exact)
+        assert np.array_equal(_s_cross_p(p[7]), exact[7])
 
 
 class TestDiracChain:

@@ -1,9 +1,11 @@
-"""The verify report's check table, pinned check by check."""
+"""The verify report's check table, pinned check by check, and the random
+inputs of its suites, value by value."""
 
 import numpy as np
 import pytest
 
-from chimaxwell.verify import run_verification
+from chimaxwell.errors import ChiMaxwellError
+from chimaxwell.verify import _draw, _draw_uniform, _inputs, run_verification
 
 CHECKS = [
     ("spin.commutation", "[S_i, S_j] = i eps_ijk S_k", 1e-15),
@@ -56,3 +58,104 @@ def test_check_table_is_pinned(trials):
     assert [(c.name, c.statement, c.tolerance) for c in report.checks] == CHECKS
     assert report.overall_pass
     assert all(type(c.residual) is float and np.isfinite(c.residual) for c in report.checks)
+
+
+def test_trials_beyond_physical_memory_rejected(monkeypatch):
+    def unreachable(rng, trials):
+        raise AssertionError("inputs were drawn")
+
+    monkeypatch.setattr("chimaxwell.verify._inputs", unreachable)
+    with pytest.raises(ChiMaxwellError, match="physical memory"):
+        run_verification(0, 2**62)
+
+
+# The reference: each suite drawn trial by trial, one call per value, as the
+# suites drew before their draws were batched.  `_inputs` must yield exactly
+# these values and leave the generator where this leaves it.
+
+def ref_random_p(rng, lo=-10.0, hi=10.0, redrawn=None):
+    while True:
+        p = rng.uniform(lo, hi, 3)
+        if np.linalg.norm(p) > 1e-3:
+            return p
+        if redrawn is not None:
+            redrawn.append(p)
+
+
+def ref_random_psi(rng):
+    return rng.normal(size=3) + 1j * rng.normal(size=3)
+
+
+def ref_random_complex(rng):
+    return complex(rng.normal(), rng.normal())
+
+
+def ref_draw(trials, *draws):
+    rows = [[draw() for draw in draws] for _ in range(trials)]
+    return [np.array(column) for column in zip(*rows)]
+
+
+def ref_inputs(rng, trials):
+    inputs = {"spin": tuple(ref_draw(trials, lambda: ref_random_p(rng)))}
+    inputs["chain"] = tuple(ref_draw(
+        min(trials, 200), lambda: ref_random_p(rng), lambda: int(rng.choice([-1, 1])),
+        lambda: rng.uniform(0, 2 * np.pi)))
+    inputs["factorization"] = tuple(ref_draw(
+        trials, lambda: rng.uniform(-10.0, 10.0), lambda: ref_random_p(rng),
+        lambda: ref_random_psi(rng), lambda: ref_random_complex(rng)))
+    inputs["generalized"] = tuple(ref_draw(
+        trials, lambda: ref_random_p(rng), lambda: int(rng.choice([-1, 1])),
+        lambda: ref_random_complex(rng), lambda: ref_random_complex(rng)))
+    inputs["chi_zero"] = tuple(ref_draw(
+        min(trials, 200), lambda: rng.uniform(-5, 5), lambda: ref_random_p(rng),
+        lambda: ref_random_psi(rng)))
+    inputs["polarization"] = tuple(ref_draw(
+        trials, lambda: ref_random_p(rng, -3.0, 3.0), lambda: rng.uniform(0.2, 3.0)))
+    kept_p, kept_m = [], []
+    for _ in range(min(trials, 100)):
+        p = ref_random_p(rng, -3.0, 3.0)
+        if min(abs(p[0]), abs(p[1])) >= 1e-2:
+            kept_p.append(p)
+            kept_m.append(rng.uniform(0.2, 3.0))
+    inputs["phase"] = np.reshape(kept_p, (-1, 3)), np.array(kept_m)
+    inputs["gauge"] = tuple(ref_draw(
+        min(trials, 100), lambda: ref_random_p(rng, -3.0, 3.0), lambda: rng.uniform(0.2, 3.0)))
+    return inputs
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 7, 200, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_inputs_are_the_trial_by_trial_draws(seed, trials):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = _inputs(rng, trials), ref_inputs(ref, trials)
+    assert list(got) == list(want)
+    for suite in want:
+        assert_same_bits(got[suite], want[suite])
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# A momentum in +-2e-3 is no longer than 1e-3 in about 6.5 % of draws, so
+# these take the path that rewinds the generator and redraws short momenta.
+SHORT = (-2e-3, 2e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_draws_rewind_for_short_momenta(seed):
+    rng, ref, redrawn = np.random.default_rng(seed), np.random.default_rng(seed), []
+    got = _draw(rng, 100, lambda p: (p(*SHORT, 1), rng.integers(0, 2), rng.normal(size=2)))
+    want = ref_draw(100, lambda: ref.uniform(*SHORT), lambda: ref_random_p(ref, *SHORT, redrawn),
+                    lambda: ref.integers(0, 2), lambda: ref.normal(size=2))
+    assert_same_bits([got[0][:, 0], got[0][:, 1:], *got[1:]], want)
+    mixed = len(redrawn)
+    got = _draw_uniform(rng, 100, SHORT, (0.2, 3.0))
+    want = ref_draw(100, lambda: ref_random_p(ref, *SHORT, redrawn), lambda: ref.uniform(0.2, 3.0))
+    assert_same_bits(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert 0 < mixed < len(redrawn)  # both draws above redrew a short momentum
