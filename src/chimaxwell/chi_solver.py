@@ -78,6 +78,8 @@ __all__ = [
 C_LIGHT = 1.0
 
 SNAPSHOT_FIELDS = ("e", "b", "chi_re", "chi_im", "chi_re_t", "chi_im_t")
+# The residuals of a Diagnostics sample, each the field `<name>_residual`.
+RESIDUALS = ("gauss_e", "gauss_b", "curl_j", "continuity")
 
 
 @dataclass(frozen=True)
@@ -714,7 +716,8 @@ def run(
     work, and a real-chi run neither transforms nor advances Im chi.
 
     When out_dir is given, snapshots (.bin + .json sidecar) and a
-    diagnostics.csv time series are written there.  keep_snapshots=False
+    diagnostics.csv time series are written there, which is made only once
+    the t = 0 data has passed its gate.  keep_snapshots=False
     drops intermediate snapshots from the returned list (initial and final
     states are always kept) -- useful for dense diagnostics on large grids.
     Before anything is built, a run whose kept states exceed physical
@@ -778,16 +781,22 @@ def _snapshot_header(grid: Grid, t: float) -> dict:
     }
 
 
+def _json_text(name: str, payload: dict) -> str:
+    """payload as strict JSON, indented with sorted keys: the serializer of
+    every JSON file written.  A value JSON cannot hold (NaN, inf) raises
+    ChiMaxwellError prefixed with name, so a caller can fail before writing."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ChiMaxwellError(f"{name}: {exc}") from exc
+
+
 def save_snapshot(state: FieldState, path_base: str | Path) -> None:
     """Write <base>.bin (flat little-endian float64, C order, fields in
     SNAPSHOT_FIELDS order) plus a <base>.json sidecar with the layout."""
     base = Path(path_base)
     # Serialized first, so a non-finite time fails before any file is written.
-    try:
-        text = json.dumps(_snapshot_header(state.grid, state.t), indent=2, sort_keys=True,
-                          allow_nan=False)
-    except ValueError as exc:
-        raise ChiMaxwellError(f"snapshot header: {exc}") from exc
+    text = _json_text("snapshot header", _snapshot_header(state.grid, state.t))
     parts = [np.ascontiguousarray(getattr(state, name), dtype="<f8").ravel()
              for name in SNAPSHOT_FIELDS]
     np.concatenate(parts).tofile(base.with_suffix(".bin"))
@@ -831,6 +840,6 @@ def load_snapshot(path_base: str | Path) -> FieldState:
 def write_diagnostics_csv(path: str | Path, diags: list[Diagnostics]) -> None:
     """CSV time series: t, gauss_e, gauss_b, curl_j, continuity, energy.
     Floats are written with repr for exact round trips."""
-    lines = ["t,gauss_e,gauss_b,curl_j,continuity,energy"]
+    lines = [",".join(["t", *RESIDUALS, "energy"])]
     lines += [",".join(repr(float(v)) for v in astuple(d)) for d in diags]
     Path(path).write_text("\n".join(lines) + "\n")

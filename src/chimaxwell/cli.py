@@ -11,6 +11,10 @@ simulate            run the time-domain solver from a JSON scenario file
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
 Floats are serialized with repr (shortest exact form), so every emitted CSV
 or JSON value round-trips to the identical double.
+
+A command makes its --out only when it writes its first file, so one that
+fails before then leaves a missing --out missing; `simulate` leaves that to
+`chi_solver.run`, which makes it once the t = 0 data has passed its gate.
 """
 
 from __future__ import annotations
@@ -54,21 +58,22 @@ def _parse_modes(text: str) -> list[str]:
     return modes
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write text to path, making its directory first: where --out is made."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ChiMaxwellError(f"{path.name}: {exc}") from exc
-    path.write_text(text + "\n")
+    """payload as strict JSON; one that is not writes no file."""
+    _write_text(path, chi_solver._json_text(path.name, payload) + "\n")
 
 
 def _cmd_verify(args) -> int:
     report = run_verification(args.seed, args.trials)
     payload = report.to_dict()
     payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify_report.json", payload)
+    _write_json(Path(args.out) / "verify_report.json", payload)
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -101,10 +106,8 @@ def _cmd_polarization_table(args) -> int:
         for field, mode, sign, first, vec in _table_vectors(p, args.modes, args.mass, scheme):
             lines += [",".join([field, mode, sign, str(first + i), _fmt(z.real), _fmt(z.imag),
                                 suffix]) for i, z in enumerate(vec)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "polarization_table.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path = Path(args.out) / "polarization_table.csv"
+    _write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(lines) - 1} rows)")
     return 0
 
@@ -120,8 +123,7 @@ def _cmd_massless_scan(args) -> int:
                   for m, norm in zip(pol.MASSLESS_SCAN_MASSES, norms)]
         slopes[mode] = pol.massless_slope(norms)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "massless_scan.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out / "massless_scan.csv", "\n".join(lines) + "\n")
     payload = {
         "scheme": scheme.label,
         "p": [float(v) for v in args.p],
@@ -152,9 +154,7 @@ def _cmd_planewave(args) -> int:
         "residual_divergence": r2,
         "on_shell": state.on_shell(),
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "planewave.json", payload)
+    _write_json(Path(args.out) / "planewave.json", payload)
     print(f"E = {_fmt(state.energy)}  residuals: ({r1:.3e}, {r2:.3e})")
     return 0
 
@@ -179,10 +179,6 @@ def _number(table: dict, key: str, default=_REQUIRED, integer: bool = False):
     return value if integer else float(value)
 
 
-# The residual fields of chi_solver.Diagnostics, as summary.json names them.
-_RESIDUALS = ("gauss_e", "gauss_b", "curl_j", "continuity")
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     try:
@@ -203,18 +199,13 @@ def _cmd_simulate(args) -> int:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ChiMaxwellError(f"bad scenario config: {exc}") from exc
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by run
     # Only 1-D profiles need intermediate states; run keeps the endpoints.
     profiles = grid.dims == 1 and args.format == "csv"
     final, diags, snapshots = chi_solver.run(
         grid, scenario, t_end, dt, output_every, chi_mode=chi_mode, out_dir=out,
         keep_snapshots=profiles,
     )
-    if profiles:
-        z = _column_text(np.arange(grid.n) * grid.dx)  # the same in every profile
-        for i, snap in enumerate(snapshots):
-            _write_profile_csv(out / f"profile_{i:06d}.csv", snap, z)
     last = diags[-1]
     first = snapshots[0]
     # Fields that overflow here make the summary non-finite, which its
@@ -234,15 +225,21 @@ def _cmd_simulate(args) -> int:
         "cfl_ratio": dt_eff / chi_solver.cfl_bound(grid),
         "t_end": final.t / c_phys,
         "grid": {"n": grid.n, "L": grid.length, "dims": grid.dims},
-        "final": {**{name: getattr(last, f"{name}_residual") for name in _RESIDUALS},
+        "final": {**{name: getattr(last, f"{name}_residual") for name in chi_solver.RESIDUALS},
                   "energy": last.energy},
         "max_over_series": {name: max(getattr(d, f"{name}_residual") for d in diags)
-                            for name in _RESIDUALS},
+                            for name in chi_solver.RESIDUALS},
         "energy_drift": abs(diags[-1].energy - diags[0].energy)
         / max(abs(diags[0].energy), 1e-300),
         "l2_change_from_initial": l2_change,
     }
-    _write_json(out / "summary.json", summary)
+    # Serialized first, so a summary that is not strict JSON writes no profile.
+    text = chi_solver._json_text("summary.json", summary) + "\n"
+    if profiles:
+        z = _column_text(np.arange(grid.n) * grid.dx)  # the same in every profile
+        for i, snap in enumerate(snapshots):
+            _write_profile_csv(out / f"profile_{i:06d}.csv", snap, z)
+    _write_text(out / "summary.json", text)
     print(f"t = {final.t:g}: gauss_e {last.gauss_e_residual:.3e}, "
           f"gauss_b {last.gauss_b_residual:.3e}, energy {last.energy:.6g}")
     return 0
@@ -284,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the seeded identity suites")
     p_verify.add_argument("--seed", type=int_from(0), default=0)
     p_verify.add_argument("--trials", type=int_from(1), default=1000)
-    p_verify.add_argument("--out", default=".")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("polarization-table", help="emit mode amplitudes as CSV")
@@ -294,14 +290,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          default=list(pol.MODES), metavar="M1,M2,...")
     p_table.add_argument("--mass", type=float, default=1.0)
     p_table.add_argument("--scheme", choices=sorted(pol.SCHEMES), default="constant")
-    p_table.add_argument("--out", default=".")
     p_table.set_defaults(func=_cmd_polarization_table)
 
     p_scan = sub.add_parser("massless-scan", help="norm-vs-mass ladder per mode")
     p_scan.add_argument("--modes", type=_parse_modes, default=list(pol.MODES))
     p_scan.add_argument("--scheme", choices=sorted(pol.SCHEMES), default="constant")
     p_scan.add_argument("--p", type=_parse_vec3, default=np.array([1.0, 2.0, 2.0]))
-    p_scan.add_argument("--out", default=".")
     p_scan.set_defaults(func=_cmd_massless_scan)
 
     p_wave = sub.add_parser("planewave", help="build a chi-extended plane wave")
@@ -310,16 +304,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wave.add_argument("--amplitude", type=complex, default=1 + 0j,
                         help="transverse amplitude, python complex syntax")
     p_wave.add_argument("--chi", type=complex, default=0j)
-    p_wave.add_argument("--out", default=".")
     p_wave.set_defaults(func=_cmd_planewave)
 
     p_sim = sub.add_parser("simulate", help="run the time-domain solver")
     p_sim.add_argument("--config", required=True, help="JSON scenario file")
-    p_sim.add_argument("--out", default=".")
     p_sim.add_argument("--format", choices=("csv", "json"), default="json",
                        help="csv additionally writes 1-D field profiles")
     p_sim.set_defaults(func=_cmd_simulate)
 
+    for p_cmd in sub.choices.values():
+        p_cmd.add_argument("--out", default=".",
+                           help="output directory, made at the first file written")
     return parser
 
 

@@ -98,13 +98,11 @@ SCHEMES = {s.label: s for s in (CONSTANT, MASS, SQRT_MASS)}
 
 @dataclass(frozen=True)
 class Polarization4:
-    """Polarization 4-vector u^mu(p, lambda) with its construction record."""
+    """Polarization 4-vector u^mu(p, lambda) with the momentum and mass it is for."""
 
     u: np.ndarray
-    mode: str
     p: np.ndarray
     mass: float
-    scheme: NormalizationScheme
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=np.complex128))
@@ -116,9 +114,6 @@ class FieldTriplet:
     """Magnetic or electric 3-vector amplitude of one mode and frequency sign."""
 
     vec: np.ndarray
-    kind: str          # "B" or "E"
-    mode: str
-    energy_sign: int   # +1 / -1
 
     def __post_init__(self):
         object.__setattr__(self, "vec", np.asarray(self.vec, dtype=np.complex128))
@@ -215,7 +210,7 @@ def polarization_vector(
         raise ValueError(f"unknown mode {mode!r}")
     m = np.asarray(m, dtype=np.float64)
     u = _finite(_closed_form, p, mode, m, scheme(m))
-    return Polarization4(u, mode, p, m[()], scheme)
+    return Polarization4(u, p, m[()])
 
 
 def _closed_form(p: np.ndarray, mode: str, m, n) -> np.ndarray:
@@ -293,10 +288,10 @@ def field_triplet(
         vec = _finite(_printed_triplet, p, mode, kind, m, scheme(m))
     else:
         pol = polarization_vector(p, mode, m, scheme)
-        conj = Polarization4(np.conj(pol.u), mode, p, pol.mass, scheme)
+        conj = Polarization4(np.conj(pol.u), p, pol.mass)
         f = ast_from_potential(conj, -1)
         vec = magnetic_from_ast(f) if kind == "B" else electric_from_ast(f)
-    return FieldTriplet(vec, kind, mode, energy_sign)
+    return FieldTriplet(vec)
 
 
 def ast_from_potential(pol: Polarization4, energy_sign: int) -> ASTField:

@@ -623,6 +623,136 @@ class TestPackUnpack:
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
+def band_limited(rng, g, lead):
+    """Random real fields of shape (*lead, *g.shape) with every Nyquist bin
+    zeroed, the -n/2 bin of each full axis included: data that has them
+    fails the t = 0 gate."""
+    axes = tuple(range(-g.dims, 0))
+    fh = np.fft.rfftn(rng.normal(size=(*lead, *g.shape)), axes=axes)
+    for a in axes:
+        index = [slice(None)] * fh.ndim
+        index[a] = g.n // 2
+        fh[tuple(index)] = 0.0
+    return np.fft.irfftn(fh, s=g.shape, axes=axes)
+
+
+def gated_random_state(g, seed):
+    """Random band-limited complex-chi data that passes the gate: E and B
+    are a random curl plus the gradient whose divergence balances the
+    mean-free d/dt Re chi and d/dt Im chi."""
+    rng = np.random.default_rng(seed)
+    space = SpectralSpace(g)
+    chi_re, chi_im, chi_re_t, chi_im_t = band_limited(rng, g, (4,))
+    chi_re_t -= chi_re_t.mean()
+    chi_im_t -= chi_im_t.mean()
+    e = space.curl(band_limited(rng, g, (3,))) + space.grad(space.solve_poisson(-chi_re_t))
+    b = space.curl(band_limited(rng, g, (3,))) + space.grad(space.solve_poisson(chi_im_t))
+    return FieldState(g, 0.0, e, b, chi_re, chi_im, chi_re_t, chi_im_t)
+
+
+def run_from(state, t_end=1.3):
+    """The final state of a run from the fields of `state`."""
+    params = {name: getattr(state, name) for name in chi_solver.SNAPSHOT_FIELDS}
+    return run(state.grid, {"type": "custom", "params": params}, t_end, chi_mode="complex")[0]
+
+
+def duality(s, alpha=0.7):
+    """psi = E - iB -> e^{i alpha} psi and chi -> e^{i alpha} chi."""
+    c, sn = np.cos(alpha), np.sin(alpha)
+    return FieldState(s.grid, s.t, c * s.e + sn * s.b, c * s.b - sn * s.e,
+                      c * s.chi_re - sn * s.chi_im, sn * s.chi_re + c * s.chi_im,
+                      c * s.chi_re_t - sn * s.chi_im_t, sn * s.chi_re_t + c * s.chi_im_t)
+
+
+def moved(s, move, turn_e, turn_b, im_sign=1.0):
+    """s under a map of the grid's cells: `move` relocates every field, E's
+    and B's components turn by turn_e and turn_b, and Im chi and its time
+    derivative take im_sign (-1 for a pseudoscalar under a reflection)."""
+    return FieldState(s.grid, s.t, turn_e(move(s.e)), turn_b(move(s.b)), move(s.chi_re),
+                      im_sign * move(s.chi_im), move(s.chi_re_t), im_sign * move(s.chi_im_t))
+
+
+def signed(*signs):
+    return lambda v: np.stack([sign * c for sign, c in zip(signs, v)])
+
+
+def translation(s):
+    """Every field moved by 3 cells along each axis."""
+    axes = tuple(range(-s.grid.dims, 0))
+    same = lambda v: v
+    return moved(s, lambda f: np.roll(f, 3, axis=axes), same, same)
+
+
+def cyclic(s):
+    """f(x, y, z) -> f(y, z, x), with E and B turned as vectors."""
+    turn = lambda v: v[[2, 0, 1]]
+    return moved(s, lambda f: np.moveaxis(f, (-1, -3, -2), (-3, -2, -1)), turn, turn)
+
+
+def reflection(s):
+    """z -> -z: E is polar, B axial and Im chi a pseudoscalar."""
+    return moved(s, lambda f: np.roll(np.flip(f, -1), 1, -1), signed(1, 1, -1),
+                 signed(-1, -1, 1), im_sign=-1.0)
+
+
+def time_reversal(s):
+    """T: B -> -B, Re chi -> -Re chi, d/dt Im chi -> -d/dt Im chi, t -> -t."""
+    return FieldState(s.grid, -s.t, s.e, -s.b, -s.chi_re, s.chi_im, s.chi_re_t, -s.chi_im_t)
+
+
+def relative_l2(got, want):
+    """The L2 norm of got - want over all six fields, relative to want's."""
+    diff = sum(np.sum((getattr(got, name) - getattr(want, name)) ** 2)
+               for name in chi_solver.SNAPSHOT_FIELDS)
+    norm = sum(np.sum(getattr(want, name) ** 2) for name in chi_solver.SNAPSHOT_FIELDS)
+    return np.sqrt(diff / norm)
+
+
+SYMMETRY_GRIDS = [(8, 1), (16, 1), (8, 3), (16, 3)]
+
+
+class TestSymmetries:
+    """RK4 applies a polynomial of the operator (E + S.p) psi = p chi, so
+    `run` commutes with every map the operator commutes with: the duality
+    rotation of the Riemann-Silberstein vector psi (Bialynicki-Birula,
+    "Photon wave function", Progress in Optics 36, 1996), the lattice's
+    translations, axis permutations and reflections, time reversal and
+    scaling.  These oracles need no reference solution."""
+
+    @pytest.mark.parametrize("n, dims, symmetry", [
+        (n, dims, symmetry) for n, dims in SYMMETRY_GRIDS
+        for symmetry in (duality, translation, cyclic, reflection)
+        if not (symmetry is cyclic and dims == 1)
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_run_commutes_to_roundoff(self, n, dims, symmetry):
+        x = gated_random_state(Grid(n, TWO_PI, dims=dims), 90 + n + dims)
+        assert relative_l2(run_from(symmetry(x)), symmetry(run_from(x))) <= 1e-13
+
+    @pytest.mark.parametrize("n, dims", SYMMETRY_GRIDS)
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_time_reversal_is_exact(self, n, dims, steps):
+        # step(T x, dt) == T step(x, -dt), bit for bit
+        g = Grid(n, TWO_PI, dims=dims)
+        dt = 0.9 * cfl_bound(g)
+        x = gated_random_state(g, 90 + n + dims)
+        forward, backward = time_reversal(x), x
+        for _ in range(steps):
+            forward, backward = step(forward, dt), step(backward, -dt)
+        backward = time_reversal(backward)
+        assert forward.t == backward.t
+        for name in chi_solver.SNAPSHOT_FIELDS:
+            assert np.array_equal(getattr(forward, name), getattr(backward, name))
+
+    @pytest.mark.parametrize("n, dims", SYMMETRY_GRIDS)
+    def test_doubled_data_doubles_exactly(self, n, dims):
+        x = gated_random_state(Grid(n, TWO_PI, dims=dims), 90 + n + dims)
+        doubled = FieldState(x.grid, x.t, *(2.0 * getattr(x, name)
+                                            for name in chi_solver.SNAPSHOT_FIELDS))
+        got, want = run_from(doubled), run_from(x)
+        for name in chi_solver.SNAPSHOT_FIELDS:
+            assert np.array_equal(getattr(got, name), 2.0 * getattr(want, name))
+
+
 class TestSpectralDiagnostics:
     @pytest.mark.parametrize("n, dims", [(16, 3), (64, 1)])
     def test_match_real_space_formulas(self, n, dims):

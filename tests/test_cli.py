@@ -588,6 +588,49 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+class TestOutMadeAtFirstWrite:
+    """A command makes --out when it writes its first file, so one that
+    fails before then leaves a missing --out missing."""
+
+    @pytest.mark.parametrize("args, config", [
+        (["verify", "--trials", str(2**62)], None),
+        (["polarization-table", "--mass", "0"], None),
+        (["massless-scan", "--p", "1e150,0,0"], None),
+        (["planewave", "--p", "1e150,0,0", "--chi", "1e200"], None),
+        (["simulate"], {"grid": {"n": 8, "L": 1.0, "dims": 1}, "t_end": 0.1,
+                        "scenario": {"type": "nope"}}),
+        (["simulate"], {"grid": {"n": 8, "L": 2 * np.pi, "dims": 1}, "t_end": 0.1,
+                        "scenario": {"type": "chi_gaussian"}}),
+        (["simulate"], TestSimulateCommand.ENDLESS),
+    ], ids=["verify-trials-beyond-memory", "table-zero-mass", "scan-overflow",
+            "planewave-overflowing-residuals", "simulate-unknown-scenario",
+            "simulate-gate-rejection", "simulate-beyond-free-space"])
+    def test_failing_command_leaves_missing_out_missing(self, tmp_path, capsys, monkeypatch,
+                                                        args, config):
+        monkeypatch.setattr("chimaxwell.verify._inputs", None)  # 2**62 trials are never drawn
+        if config is TestSimulateCommand.ENDLESS:
+            TestSimulateCommand.forbid_grids(monkeypatch)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = [*args, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "missing" / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_summary_not_strict_json_writes_no_profile(self, tmp_path, capsys):
+        # a uniform chi of 1e200 passes the gate, but its energy overflows the summary
+        cfg = {"grid": {"n": 8, "L": 1.0, "dims": 1}, "t_end": 0.1, "dt": 0.02, "output_every": 8,
+               "scenario": {"type": "custom", "params": {"chi_re": [1e200] * 8}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out),
+                     "--format", "csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: summary.json")
+        assert not list(out.glob("profile_*"))
+
+
 ABSENT = object()
 NOT_NUMBERS = st.sampled_from([True, False, None, "1", [1], {"a": 1}])
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])

@@ -1,6 +1,6 @@
 """Project tooling: the benchmark's tracer binds library names, so a rename
-must fail here; each module exports exactly what it defines; and the package
-metadata names the package's version."""
+must fail here; each module exports exactly what it defines; the package
+metadata names the package's version; and README's command lines parse."""
 
 import importlib
 import inspect
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import chimaxwell
+from chimaxwell import cli
 
 
 def test_perfbench_binding_points_exist():
@@ -40,3 +41,26 @@ def test_pyproject_version_is_the_package_version():
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
     assert project["version"] == chimaxwell.__version__
+
+
+def readme_command_lines():
+    """Every `chimaxwell ...` line of the bash block under README's
+    "Command line", as argv; an optional `[--format csv]` gives two."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    argvs = []
+    for line in block.splitlines():
+        if line.startswith("chimaxwell "):
+            argvs.append(line.replace(" [--format csv]", "").split()[1:])
+            if "[--format csv]" in line:
+                argvs.append(line.replace("[--format csv]", "--format csv").split()[1:])
+    return argvs
+
+
+def test_readme_command_lines_parse():
+    argvs = readme_command_lines()
+    assert {argv[0] for argv in argvs} == {"verify", "polarization-table", "massless-scan",
+                                          "planewave", "simulate"}
+    parser = cli._build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)  # a usage error exits 2 and fails here
