@@ -80,6 +80,7 @@ C_LIGHT = 1.0
 SNAPSHOT_FIELDS = ("e", "b", "chi_re", "chi_im", "chi_re_t", "chi_im_t")
 # The residuals of a Diagnostics sample, each the field `<name>_residual`.
 RESIDUALS = ("gauss_e", "gauss_b", "curl_j", "continuity")
+_NEGATIVE_ZERO = np.uint64(1 << 63)  # the bits of -0.0
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,17 @@ class SpectralSpace:
     `fwd` returns mean-normalized coefficients (norm="forward"), whose squares
     Parseval sums as they are; n is a power of two, so that exact 1/n leaves
     every result bit-identical to scaling in `inv` instead.  `fwd` takes a
-    scalar or a (3, *shape) vector field, which it transforms one component
-    at a time; `inv` takes a scalar spectrum.  A field or spectrum that is
-    all zero (+0.0 or -0.0) costs no FFT: its transform is +0.0 throughout.
+    scalar or a (3, *shape) vector field and returns its spectrum, of shape
+    `half` or (3, *half): each component is one `np.fft.rfftn` call whose
+    stages all run in that component's row of the result.  `inv` takes a
+    scalar spectrum and returns a fresh field, leaving the spectrum as it
+    was.  `inv_in_place` writes the field into `out` (a fresh array when
+    none is given) and uses the spectrum as its scratch, so a caller that
+    holds a temporary spectrum pays no copy: in numpy's own `irfftn` order,
+    an in-place `np.fft.ifft` along each axis but the last, then one
+    `np.fft.irfftn` along the last, so the bits are those of `irfftn`.  A
+    field or spectrum that is all zero (+0.0 or -0.0) costs no FFT: its
+    transform is +0.0 throughout.
     """
 
     def __init__(self, grid: Grid):
@@ -170,35 +179,53 @@ class SpectralSpace:
         self.half = (*grid.shape[:-1], n // 2 + 1)  # the shape of a spectrum
 
     def fwd(self, f: np.ndarray) -> np.ndarray:
+        out = np.empty((*f.shape[:f.ndim - self.grid.dims], *self.half), dtype=np.complex128)
         # One FFT per component: with numpy 2.4's pocketfft, three 64^3
         # calls took less time than one batched (3, ...) call, same bits.
-        if f.ndim > self.grid.dims:
-            return np.stack([self.fwd(c) for c in f])
-        if not f.any():
-            return np.zeros(self.half, dtype=np.complex128)
-        return np.fft.rfftn(f, axes=self.axes, norm="forward")
+        for row, c in zip(out, f) if f.ndim > self.grid.dims else [(out, f)]:
+            if c.any():
+                np.fft.rfftn(c, axes=self.axes, norm="forward", out=row)
+            else:
+                row.fill(0.0)
+        return out
 
     def inv(self, fh: np.ndarray) -> np.ndarray:
         if not fh.any():
             return np.zeros(self.grid.shape)
-        return np.fft.irfftn(fh, s=self.grid.shape, axes=self.axes, norm="forward")
+        return self.inv_in_place(fh.copy())
+
+    def inv_in_place(self, fh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(self.grid.shape)
+        if not fh.any():
+            out.fill(0.0)
+            return out
+        for axis in self.axes[:-1]:
+            np.fft.ifft(fh, axis=axis, norm="forward", out=fh)
+        return np.fft.irfftn(fh, s=self.grid.shape[-1:], axes=self.axes[-1:],
+                             norm="forward", out=out)
 
     def grad(self, f: np.ndarray) -> np.ndarray:
         fh = self.fwd(f)
-        return np.stack([self.inv(1j * ka * fh) for ka in self.k])
+        out = np.empty((3, *self.grid.shape))
+        for ka, row in zip(self.k, out):
+            self.inv_in_place(1j * ka * fh, row)
+        return out
 
     def div(self, v: np.ndarray) -> np.ndarray:
-        k, vh = self.k, [self.fwd(v[a]) for a in range(3)]
-        return self.inv(1j * (k[0] * vh[0] + k[1] * vh[1] + k[2] * vh[2]))
+        k, vh = self.k, self.fwd(v)
+        return self.inv_in_place(1j * (k[0] * vh[0] + k[1] * vh[1] + k[2] * vh[2]))
 
     def curl(self, v: np.ndarray) -> np.ndarray:
-        k, vh = self.k, [self.fwd(v[a]) for a in range(3)]
-        return np.stack([self.inv(1j * (k[1] * vh[2] - k[2] * vh[1])),
-                         self.inv(1j * (k[2] * vh[0] - k[0] * vh[2])),
-                         self.inv(1j * (k[0] * vh[1] - k[1] * vh[0]))])
+        k, vh = self.k, self.fwd(v)
+        out = np.empty((3, *self.grid.shape))
+        self.inv_in_place(1j * (k[1] * vh[2] - k[2] * vh[1]), out[0])
+        self.inv_in_place(1j * (k[2] * vh[0] - k[0] * vh[2]), out[1])
+        self.inv_in_place(1j * (k[0] * vh[1] - k[1] * vh[0]), out[2])
+        return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self.inv(-self.k2 * self.fwd(f))
+        return self.inv_in_place(-self.k2 * self.fwd(f))
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Zero-mean phi with laplacian(phi) = rhs (the k = 0 bin is dropped,
@@ -207,7 +234,7 @@ class SpectralSpace:
         phi_h = np.divide(
             rhs_h, -self.k2, out=np.zeros_like(rhs_h), where=self.k2 > 0
         )
-        return self.inv(phi_h)
+        return self.inv_in_place(phi_h)
 
     def coordinates(self) -> list[np.ndarray]:
         """Broadcastable coordinate arrays (x, y, z); 1-D grids vary along z."""
@@ -480,13 +507,16 @@ class _Propagator:
     array whose two halves are psi and its partner E + iB, packed alike:
     (h+, h-, l, R, R_t) of psi, then (h+, h-, l, I, I_t) of the partner,
     which turns the other way (rho and conj(rho) swap) and takes
-    l_c += (i dR + dI)/|k|.  `spectra` packs each half through `_project`;
+    l_c += (i dR + dI)/|k|.  `spectra` packs each half through `_project`
+    (`_pack`), and a zero B only once: both halves are then E, bit for bit.
     `state` unpacks E from the sum of the halves and B from their
     difference through its transpose, `_unproject`, one component at a
-    time.  Real fields stay exactly real, and a zero one exactly zero: a
-    real-chi run never rotates (I, I_t).  `jump` works in place: a run's
-    spectra are its own, and every state handed out is a fresh transform
-    of them.
+    time, each a temporary that `SpectralSpace.inv_in_place` transforms in
+    place into its row of the state; the chi slots, which the run keeps, go
+    through the copying `inv`.  Real fields stay exactly real, and a zero
+    one exactly zero: a real-chi run never rotates (I, I_t).  `jump` works
+    in place: a run's spectra are its own, and every state handed out is a
+    fresh transform of them.
     """
 
     def __init__(self, grid: Grid):
@@ -512,20 +542,37 @@ class _Propagator:
         yield self.cphi * u - self.sphi * v_ph
         yield self.sphi * u + self.cphi * v_ph
 
+    def _pack(self, v, half) -> None:
+        """Write the triad amplitudes h+- = th^.v -+ i ph^.v and l = k^.v of
+        the vector spectrum v into half[:3]; v may be half[:3] itself."""
+        th, iph, half[2] = self._project(v)
+        iph *= 1j
+        np.subtract(th, iph, out=half[0])
+        np.add(th, iph, out=half[1])
+
     def spectra(self, state: FieldState) -> np.ndarray:
         """The (2, 5, *half) pair of a state (see the class): the halves are
-        psi = E - iB and its partner E + iB, each projected on the triad as
-        h+- = th^.v -+ i ph^.v and l = k^.v, then the rfftn of each chi field."""
+        psi = E - iB and its partner E + iB, each packed on the triad by
+        `_pack`, then the rfftn of each chi field.  A zero B costs no
+        transform and one projection: psi = E - i0 is E bit for bit, and so
+        is its partner E + i0 unless E holds a -0.0 (the sum makes it
+        +0.0), so the partner's slots are a copy of psi's.  An E that holds
+        a -0.0 takes the path of a nonzero B, whose zero spectrum then adds
+        the +0.0."""
         fwd = self.space.fwd
-        e, ib = fwd(state.e), fwd(state.b)
-        ib *= 1j
+        e = fwd(state.e)
         out = np.empty((2, 5, *e.shape[1:]), dtype=np.complex128)
-        for half, combine in zip(out, (np.subtract, np.add)):
-            # psi, then its partner, in the slots its triad components replace
-            th, iph, half[2] = self._project(combine(e, ib, out=half[:3]))
-            iph *= 1j
-            np.subtract(th, iph, out=half[0])
-            np.add(th, iph, out=half[1])
+        if state.b.any() or (e.view(np.uint64) == _NEGATIVE_ZERO).any():
+            ib = fwd(state.b)
+            ib *= 1j
+            for half, combine in zip(out, (np.subtract, np.add)):
+                # psi, then its partner, in the slots its triad components replace
+                self._pack(combine(e, ib, out=half[:3]), half)
+            del ib
+        else:
+            self._pack(e, out[0])
+            out[1, :3] = out[0, :3]
+        del e
         out[0, 3], out[0, 4] = fwd(state.chi_re), fwd(state.chi_re_t)
         out[1, 3], out[1, 4] = fwd(state.chi_im), fwd(state.chi_im_t)
         return out
@@ -534,8 +581,8 @@ class _Propagator:
         """Real-space state at time t from the pair of spectra, field by
         field: E = (psi + partner)/2 from the sums of the two halves' triad
         components, B = i (psi - partner)/2 from their differences, each
-        unprojected and transformed one component at a time, and each chi
-        field from its own slot."""
+        unprojected and transformed in place one component at a time, and
+        each chi field from a copy of its own slot."""
         (hp, hm, ell, _, _), (hp_c, hm_c, ell_c, _, _) = spectra
         e, b = np.empty((3, *self.space.grid.shape)), np.empty((3, *self.space.grid.shape))
         for out, combine, scale in ((e, np.add, 1.0), (b, np.subtract, 1j)):
@@ -548,7 +595,7 @@ class _Propagator:
             for v, factor in zip(triad, (0.25, 0.25j, 0.5)):
                 v *= factor * scale
             for a, v in zip((2, 0, 1), self._unproject(*triad)):
-                out[a] = self.space.inv(v)
+                self.space.inv_in_place(v, out[a])
         # Zero fields are rows of one unwritten block: no pages, unlike one zero array each.
         slots = (spectra[0, 3], spectra[1, 3], spectra[0, 4], spectra[1, 4])
         nonzero = [slot.any() for slot in slots]
@@ -669,12 +716,13 @@ def diagnostics(state: FieldState) -> Diagnostics:
 
 
 def _check_room(grid: Grid, kept: int, written: int = 0,
-                out_path: Path | None = None) -> None:
-    """Reject `kept` states held in memory, or `written` snapshots under
+                out_path: Path | None = None, beside: int = 0) -> None:
+    """Reject `kept` states held in memory, or `written` outputs under
     out_path, that do not fit in physical memory or in the free space of
     out_path's file system.  A state holds 80 bytes (10 float64 fields) a
-    cell; a snapshot takes its .bin rounded up to whole file-system blocks,
-    plus one block for its .json sidecar."""
+    cell; an output takes its snapshot's .bin rounded up to whole
+    file-system blocks, plus one block for its .json sidecar, plus a file of
+    up to `beside` bytes that a caller writes next to it, also rounded up."""
     state_bytes = 80 * int(grid.n) ** grid.dims
     if kept * state_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ChiMaxwellError(f"{kept} kept {grid.dims}-D n={grid.n} state(s) "
@@ -685,10 +733,24 @@ def _check_room(grid: Grid, kept: int, written: int = 0,
     while not existing.exists():  # out_path itself is made later
         existing = existing.parent
     block = os.statvfs(existing).f_bsize
-    snapshot_bytes = -(-state_bytes // block) * block + block
-    if written * snapshot_bytes > shutil.disk_usage(existing).free:
-        raise ChiMaxwellError(f"{written} snapshots of a {grid.dims}-D n={grid.n} state "
+    output_bytes = -(-state_bytes // block) * block + block + -(-beside // block) * block
+    if written * output_bytes > shutil.disk_usage(existing).free:
+        what = "snapshots and profiles" if beside else "snapshots"
+        raise ChiMaxwellError(f"{written} {what} of a {grid.dims}-D n={grid.n} state "
                               f"exceed the free space of {existing}")
+
+
+def _schedule(grid: Grid, t_end: float, dt: float | None,
+              output_every: int) -> tuple[int, float, int, int]:
+    """(n_steps, dt_eff, every, outputs) of a run (see `run`): the steps and
+    their length from plan_steps, checked against the CFL bound, the steps
+    between two outputs, and the number of outputs, t = 0 included."""
+    if output_every < 0:
+        raise ChiMaxwellError(f"output_every must be >= 0, got {output_every!r}")
+    n_steps, dt_eff = plan_steps(grid, t_end, dt)
+    _check_cfl(grid, dt_eff)
+    every = min(output_every, n_steps) if output_every > 0 else n_steps
+    return n_steps, dt_eff, every, 1 + -(-n_steps // every)
 
 
 def run(
@@ -724,13 +786,8 @@ def run(
     memory, or whose snapshots exceed the free space under out_dir, raises
     ChiMaxwellError.
     """
-    if output_every < 0:
-        raise ChiMaxwellError(f"output_every must be >= 0, got {output_every!r}")
-    n_steps, dt_eff = plan_steps(grid, t_end, dt)
-    _check_cfl(grid, dt_eff)
-    every = min(output_every, n_steps) if output_every > 0 else n_steps
+    n_steps, dt_eff, every, outputs = _schedule(grid, t_end, dt, output_every)
     out_path = Path(out_dir) if out_dir is not None else None
-    outputs = 1 + -(-n_steps // every)
     _check_room(grid, outputs if keep_snapshots else 2, outputs, out_path)
 
     state0, prop, spectra, sample0 = _start(grid, scenario, chi_mode)

@@ -202,6 +202,10 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)  # made by run
     # Only 1-D profiles need intermediate states; run keeps the endpoints.
     profiles = grid.dims == 1 and args.format == "csv"
+    n_steps, dt_eff, _, outputs = chi_solver._schedule(grid, t_end, dt, output_every)
+    if profiles:  # run counts its snapshots only; a profile goes beside each
+        chi_solver._check_room(grid, outputs, outputs, out,
+                               len(_PROFILE_HEADER) + 1 + _PROFILE_ROW_BYTES * grid.n)
     final, diags, snapshots = chi_solver.run(
         grid, scenario, t_end, dt, output_every, chi_mode=chi_mode, out_dir=out,
         keep_snapshots=profiles,
@@ -217,7 +221,6 @@ def _cmd_simulate(args) -> int:
         den = np.sqrt(np.mean(first.e ** 2 + first.b ** 2)
                       + np.mean(first.chi_re ** 2 + first.chi_im ** 2))
         l2_change = num / max(den, 1e-300)
-    n_steps, dt_eff = chi_solver.plan_steps(grid, t_end, dt)
     summary = {
         "version": __version__,
         "steps": n_steps,
@@ -253,13 +256,18 @@ def _column_text(column: np.ndarray) -> list[str]:
     return list(map(repr, column.tolist()))
 
 
+_PROFILE_HEADER = "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"
+# A profile row is at most 11 reprs of 24 characters (as in
+# -1.2345678901234567e-300), 10 commas and a newline.
+_PROFILE_ROW_BYTES = 11 * 24 + 11
+
+
 def _write_profile_csv(path: Path, state: chi_solver.FieldState, z: list[str]) -> None:
     """One 1-D profile, built column by column; z is `_column_text` of the
     grid coordinates."""
-    header = "z,ex,ey,ez,bx,by,bz,chi_re,chi_im,chi_re_t,chi_im_t"
     cols = [z, *map(_column_text, [*state.e, *state.b, state.chi_re, state.chi_im,
                                    state.chi_re_t, state.chi_im_t])]
-    path.write_text("\n".join([header, *map(",".join, zip(*cols))]) + "\n")
+    path.write_text("\n".join([_PROFILE_HEADER, *map(",".join, zip(*cols))]) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

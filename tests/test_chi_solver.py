@@ -472,6 +472,53 @@ class TestZeroFields:
         for name in chi_solver.SNAPSHOT_FIELDS:
             assert np.array_equal(getattr(snaps[0], name), getattr(want_snaps[0], name))
 
+    @pytest.mark.parametrize("dims, build, chi_mode", [
+        (3, lambda g: vacuum_scenario([1, 0, 2], helicity=1), "real"),
+        (3, lambda g: gaussian_scenario(TWO_PI / 8), "real"),
+        (1, lambda g: {"type": "chi_gaussian", "params": {"width": TWO_PI / 16,
+                                                          "center": [2.0]}}, "real"),
+        (3, complex_chi_scenario, "complex"),
+        (1, negative_zero_scenario, "complex"),
+    ], ids=["vacuum-3d", "gaussian-3d", "gaussian-1d", "complex-chi-custom",
+            "negative-zero-custom"])
+    def test_output_matches_a_plain_inverse_into_the_row(self, monkeypatch, dims, build,
+                                                        chi_mode):
+        # inv_in_place runs irfftn's stages one by one in the spectrum it is
+        # given; a plain irfftn of every spectrum, zero ones too, copied
+        # into the row must give the same bits.
+        g = Grid(16 if dims == 3 else 256, TWO_PI, dims=dims)
+        args = (g, build(g), 10 * cfl_bound(g))
+        _, diags, snaps = run(*args, output_every=3, chi_mode=chi_mode)
+
+        def plain_inv(space, fh, out=None):
+            out = np.empty(space.grid.shape) if out is None else out
+            out[...] = np.fft.irfftn(fh, s=space.grid.shape, axes=space.axes, norm="forward")
+            return out
+
+        monkeypatch.setattr(SpectralSpace, "inv_in_place", plain_inv)
+        _, want_diags, want_snaps = run(*args, output_every=3, chi_mode=chi_mode)
+        assert repr(diags) == repr(want_diags)
+        assert [state_bits(s) for s in snaps[1:]] == [state_bits(s) for s in want_snaps[1:]]
+        # At t = 0 the builder's zero gradient components (1-D chi_gaussian)
+        # come from an FFT of zero spectra, whose cells round to +-0.0.
+        for name in chi_solver.SNAPSHOT_FIELDS:
+            assert np.array_equal(getattr(snaps[0], name), getattr(want_snaps[0], name))
+
+    @pytest.mark.parametrize("dims, keep, counts", [
+        (3, False, (7, 12)), (3, True, (7, 28)), (1, False, (5, 5)), (1, True, (5, 11)),
+    ])
+    def test_transform_counts_are_pinned(self, fft_inputs, dims, keep, counts):
+        # One rfftn or irfftn call per nonzero component, however its stages
+        # run: the builder's Poisson solve and gradient (2 forward; 1 + 3
+        # inverse, or 1 + 1 in 1-D, whose x and y gradients are zero), the
+        # t = 0 spectra (E, Re chi and its d/dt), and each state unpacked
+        # (E, the roundoff B of 3-D, Re chi and its d/dt): of the 3 outputs
+        # after t = 0 only the last, unless states are kept.
+        g = Grid(16 if dims == 3 else 256, TWO_PI, dims=dims)
+        run(g, gaussian_scenario(TWO_PI / 8), 6 * cfl_bound(g), output_every=2,
+            keep_snapshots=keep)
+        assert (len(fft_inputs["fwd"]), len(fft_inputs["inv"])) == counts
+
     @pytest.mark.parametrize("scenario", [vacuum_scenario([1, 0, 2]),
                                           gaussian_scenario(TWO_PI / 8)],
                              ids=["vacuum", "gaussian"])
@@ -621,6 +668,59 @@ class TestPackUnpack:
             want, got = getattr(state, name), getattr(back, name)
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    @staticmethod
+    def packed(prop, v):
+        """(h+, h-, l) of the vector spectrum v, projected on the
+        propagator's triad in the test's own code, in the solver's order of
+        operations: h+- = th^.v -+ i ph^.v and l = k^.v."""
+        u = prop.cphi * v[0] + prop.sphi * v[1]
+        th = prop.cos_t * u - prop.sin_t * v[2]
+        iph = (prop.cphi * v[1] - prop.sphi * v[0]) * 1j
+        return np.stack([th - iph, th + iph, prop.sin_t * u + prop.cos_t * v[2]])
+
+    def check_spectra(self, state, with_b):
+        prop = chi_solver._Propagator(state.grid)
+        axes = prop.space.axes
+        e = np.fft.rfftn(state.e, axes=axes, norm="forward")
+        ib = 1j * (np.fft.rfftn(state.b, axes=axes, norm="forward") if with_b
+                   else np.zeros_like(e))
+        spectra = prop.spectra(state)
+        assert spectra[0, :3].tobytes() == self.packed(prop, e - ib).tobytes()
+        assert spectra[1, :3].tobytes() == self.packed(prop, e + ib).tobytes()
+        for slot, name in zip((spectra[0, 3], spectra[0, 4], spectra[1, 3], spectra[1, 4]),
+                              ("chi_re", "chi_re_t", "chi_im", "chi_im_t")):
+            assert np.array_equal(slot, np.fft.rfftn(getattr(state, name), axes=axes,
+                                                     norm="forward"))
+        return e
+
+    # 1-D n=8 data whose E spectrum holds a -0.0 that the sum E + i0 turns
+    # into +0.0 and that reaches the partner's l: there the halves differ.
+    SIGNED_E = np.array([[0.0, 0.0, -2.0, -3.0, -1.0, 0.0, 0.0, 0.0], [0.0] * 8,
+                         [-0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("b_zero", [0.0, -0.0], ids=["b+0", "b-0"])
+    @pytest.mark.parametrize("case", ["violating-3d", "violating-1d", "signed-e-1d"])
+    def test_zero_b_packs_as_e_minus_and_plus_i0(self, case, b_zero):
+        if case == "signed-e-1d":
+            g = Grid(8, TWO_PI, dims=1)
+            zero = np.zeros(g.shape)
+            state = FieldState(g, 0.0, self.SIGNED_E, np.full((3, 8), b_zero), *[zero] * 4)
+        else:
+            g = Grid(16, TWO_PI, dims=3) if case == "violating-3d" else Grid(64, TWO_PI, dims=1)
+            v = violating_state(g, 90)
+            state = FieldState(g, v.t, v.e, np.full_like(v.b, b_zero), v.chi_re, v.chi_im,
+                               v.chi_re_t, v.chi_im_t)
+        e = self.check_spectra(state, with_b=False)
+        negative_zero = (e.view(np.uint64) == np.uint64(1 << 63)).any()
+        assert negative_zero == (case == "signed-e-1d")
+        if negative_zero:  # so a copy of psi's slots would not do for its partner
+            prop = chi_solver._Propagator(g)
+            assert self.packed(prop, e).tobytes() != self.packed(prop, e + 0.0).tobytes()
+
+    @pytest.mark.parametrize("n, dims", [(16, 3), (64, 1)])
+    def test_nonzero_b_packs_psi_and_its_partner(self, n, dims):
+        self.check_spectra(violating_state(Grid(n, TWO_PI, dims=dims), 80 + dims), with_b=True)
 
 
 def band_limited(rng, g, lead):

@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -564,6 +565,35 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "free space" in err and err.count("\n") == 1
         assert not list(out.glob("snapshot_*"))
+
+    def test_free_space_counts_the_profiles(self, tmp_path, capsys, monkeypatch):
+        # 101 outputs of a 1-D n=16 state; with --format csv each also
+        # writes a profile of up to 275 bytes a cell plus its header line
+        block = os.statvfs(tmp_path).f_bsize
+        blocks = lambda size: -(-size // block) * block
+        snapshots = 101 * (blocks(80 * 16) + block)
+        profiles = 101 * blocks(52 + 275 * 16)
+        free = SimpleNamespace(free=snapshots)
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: free)
+        cfg = self.write_config(tmp_path, grid={"n": 16, "L": 1.0, "dims": 1}, t_end=1.0,
+                                dt=0.01, output_every=1, scenario={"type": "chi_planewave"})
+        argv = ["simulate", "--config", str(cfg), "--format", "csv", "--out"]
+        with monkeypatch.context() as patch:
+            self.forbid_grids(patch)  # checked before anything is built
+            assert main([*argv, str(tmp_path / "csv")]) == 2
+        err = capsys.readouterr().err
+        assert "snapshots and profiles" in err and "free space" in err
+        assert err.count("\n") == 1 and not (tmp_path / "csv").exists()
+        argv[4] = "json"  # the snapshots alone fit
+        assert main([*argv, str(tmp_path / "json")]) == 0
+        free.free = snapshots + profiles - 1
+        argv[4] = "csv"
+        assert main([*argv, str(tmp_path / "short")]) == 2
+        free.free += 1
+        assert main([*argv, str(tmp_path / "enough")]) == 0
+        written = sorted((tmp_path / "enough").glob("profile_*.csv"))
+        assert len(written) == 101
+        assert max(len(p.read_bytes()) for p in written) <= 52 + 275 * 16
 
     def test_kept_states_exceeding_memory_raise_before_any_grid(self, monkeypatch):
         self.forbid_grids(monkeypatch)
