@@ -65,7 +65,6 @@ __all__ = [
     "Diagnostics",
     "SpectralSpace",
     "cfl_bound",
-    "plan_steps",
     "init_state",
     "step",
     "diagnostics",
@@ -85,17 +84,18 @@ _NEGATIVE_ZERO = np.uint64(1 << 63)  # the bits of -0.0
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic grid: n points per axis (power of two, n >= 8), box length L
-    in [1e-100, 1e100], which keeps the volume and every wavenumber squared
-    finite and nonzero, and 1 or 3 spatial dimensions (1-D varies along z)."""
+    """Periodic grid: n points per axis (a power of two in [8, 2**1024), so
+    dx = L / n is a float), box length L in [1e-100, 1e100], which keeps the
+    volume and every wavenumber squared finite and nonzero, and 1 or 3
+    spatial dimensions (1-D varies along z)."""
 
     n: int
     length: float
     dims: int = 3
 
     def __post_init__(self):
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two with n >= 8")
+        if self.n < 8 or (self.n & (self.n - 1)) != 0 or self.n >= 2**1024:
+            raise ValueError("n must be a power of two with 8 <= n < 2**1024")
         if self.dims not in (1, 3):
             raise ValueError("dims must be 1 or 3")
         if not 1e-100 <= self.length <= 1e100:
@@ -130,7 +130,9 @@ class FieldState:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Constraint / identity residuals (grid RMS) and total energy at time t."""
+    """Constraint residuals (grid RMS) and total energy at time t.  The two
+    identity fields, curl_j_residual and continuity_residual, are always
+    exactly 0.0: no state can violate them (see `diagnostics`)."""
 
     t: float
     gauss_e_residual: float
@@ -455,22 +457,6 @@ def _initial_fields(space: SpectralSpace, scenario, chi_mode: str) -> FieldState
     return FieldState(space.grid, 0.0, **fields)
 
 
-def plan_steps(grid: Grid, t_end: float, dt: float | None = None) -> tuple[int, float]:
-    """(n_steps, dt_eff) of a run to t_end: dt defaults to the CFL bound,
-    n_steps = ceil(t_end / dt) and dt_eff = t_end / n_steps, so the run
-    lands on t_end exactly."""
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise ChiMaxwellError("t_end must be positive and finite")
-    if dt is None:
-        dt = cfl_bound(grid)
-    elif not dt > 0:
-        raise ChiMaxwellError("dt must be positive")
-    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
-    if n_steps > 2**53:  # beyond it, t_end / dt is no exact count of steps
-        raise ChiMaxwellError(f"t_end / dt asks for {n_steps:.3g} steps, more than 2**53")
-    return n_steps, t_end / n_steps
-
-
 def _check_cfl(grid: Grid, dt: float) -> None:
     bound = cfl_bound(grid)
     if not abs(dt) <= bound * (1.0 + 1e-12):  # written so that a NaN dt is rejected too
@@ -664,21 +650,15 @@ class _Propagator:
         by Parseval, with no FFT: i |k| (l + l_c)/2 + R_t is the spectrum of
         div E + d/dt Re chi, i |k| (l_c - l)/2 - i I_t (read without its exact
         factor i) that of i (div B - d/dt Im chi).  The triad is orthonormal, so
-        |psi|^2 = (|h+|^2 + |h-|^2)/2 + |l|^2, and |chi|^2 sums as |R|^2 + |I|^2."""
+        |psi|^2 = (|h+|^2 + |h-|^2)/2 + |l|^2, and |chi|^2 sums as |R|^2 + |I|^2.
+        curl_j and continuity are identities, 0.0 by construction (see
+        `diagnostics`), so only the Gauss residuals and the energy are read."""
         (hp, hm, ell, re, re_t), (hp_c, hm_c, ell_c, im, im_t) = spectra
-        k = self.space.k
         ge = math.sqrt(self._mean_sq(0.5j * (self.kabs * (ell + ell_c)) + re_t))
         gb = math.sqrt(self._mean_sq(0.5 * (self.kabs * (ell_c - ell)) - im_t))
-        # curl grad Re chi = -k x (k Re chi): the factors of i are exact and
-        # drop out of |.|^2, so k_a Re chi is formed once per axis.
-        curl_j = 0.0  # what the sum reads when Re chi is zero
-        if re.any():
-            grad = [ka * re for ka in k]
-            curl_j = math.sqrt(sum(self._mean_sq(k[a] * grad[b] - k[b] * grad[a])
-                                   for a, b in ((1, 2), (2, 0), (0, 1))))
         energy = 0.25 * (0.5 * self._mean_sq(hp, hm, hp_c, hm_c) + self._mean_sq(ell, ell_c)
                          + 2.0 * self._mean_sq(re, im)) * self.space.grid.volume
-        return Diagnostics(t, ge, gb, curl_j, 0.0, energy)
+        return Diagnostics(t, ge, gb, 0.0, 0.0, energy)
 
 
 def step(state: FieldState, dt: float) -> FieldState:
@@ -700,13 +680,14 @@ def diagnostics(state: FieldState) -> Diagnostics:
 
     With the current-density reading j ~ grad Re(chi), rho ~ -(1/c^2) d/dt
     Re(chi), the two identities below are the curl-free and continuity
-    equations of that pair; both are identically zero in the continuum:
+    equations of that pair.  Both hold for every state, so each is reported
+    as exactly 0.0 and nothing is summed:
 
-    * curl_j_residual     = RMS( i k x (i k Re(chi)) ), which measures the
-      roundoff of the Fourier multipliers only;
-    * continuity_residual = RMS( (1/c^2) d/dt grad Re(chi) + grad rho ),
-      which is 0.0 by construction: the two terms are the same field with
-      opposite signs.
+    * curl_j_residual     = RMS( i k x (i k Re(chi)) ): curl grad = 0, whose
+      matrix image (S.p) p = 0 the generalized equations rest on; the
+      Fourier sum would measure only the rounding of k_a (k_b R) - k_b (k_a R);
+    * continuity_residual = RMS( (1/c^2) d/dt grad Re(chi) + grad rho ): the
+      two terms are the same field with opposite signs.
 
     energy = (1/2) Integral (E^2 + B^2 + Re(chi)^2 + Im(chi)^2) dV, which the
     evolution conserves on the constraint surface.
@@ -742,12 +723,23 @@ def _check_room(grid: Grid, kept: int, written: int = 0,
 
 def _schedule(grid: Grid, t_end: float, dt: float | None,
               output_every: int) -> tuple[int, float, int, int]:
-    """(n_steps, dt_eff, every, outputs) of a run (see `run`): the steps and
-    their length from plan_steps, checked against the CFL bound, the steps
-    between two outputs, and the number of outputs, t = 0 included."""
+    """(n_steps, dt_eff, every, outputs) of a run (see `run`): dt defaults to
+    the CFL bound, n_steps = ceil(t_end / dt) and dt_eff = t_end / n_steps,
+    checked against the CFL bound, then the steps between two outputs, and
+    the number of outputs, t = 0 included."""
     if output_every < 0:
         raise ChiMaxwellError(f"output_every must be >= 0, got {output_every!r}")
-    n_steps, dt_eff = plan_steps(grid, t_end, dt)
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ChiMaxwellError("t_end must be positive and finite")
+    if dt is None:
+        dt = cfl_bound(grid)
+    elif not dt > 0:
+        raise ChiMaxwellError("dt must be positive")
+    steps = t_end / dt - 1e-9
+    if not steps <= 2**53:  # inf too: beyond 2**53, t_end / dt is no exact count of steps
+        raise ChiMaxwellError(f"t_end / dt asks for {steps:.3g} steps, more than 2**53")
+    n_steps = max(1, math.ceil(steps))
+    dt_eff = t_end / n_steps
     _check_cfl(grid, dt_eff)
     every = min(output_every, n_steps) if output_every > 0 else n_steps
     return n_steps, dt_eff, every, 1 + -(-n_steps // every)
@@ -765,8 +757,8 @@ def run(
 ) -> tuple[FieldState, list[Diagnostics], list[FieldState]]:
     """Evolve a scenario to t_end, recording diagnostics and snapshots.
 
-    dt defaults to the CFL bound; the actual step is t_end / n_steps (see
-    plan_steps), so the run lands on t_end exactly.
+    dt defaults to the CFL bound; the actual step is t_end / n_steps, with
+    n_steps = ceil(t_end / dt), so the run lands on t_end exactly.
     output_every = k records every k-th step (plus t = 0 and the final step);
     output_every = 0 records endpoints only.  Deterministic given inputs.
     The steps between two outputs are taken as one jump of the propagator

@@ -404,7 +404,7 @@ def negative_zero_scenario(g):
 
 
 class TestZeroFields:
-    """A field that is zero costs no FFT, and no jump or curl_j arithmetic."""
+    """A field that is zero costs no FFT and no jump arithmetic."""
 
     @pytest.mark.parametrize("dims", [1, 3])
     def test_only_an_all_zero_array_skips_the_fft(self, dims):
@@ -520,18 +520,22 @@ class TestZeroFields:
         assert (len(fft_inputs["fwd"]), len(fft_inputs["inv"])) == counts
 
     @pytest.mark.parametrize("scenario", [vacuum_scenario([1, 0, 2]),
-                                          gaussian_scenario(TWO_PI / 8)],
-                             ids=["vacuum", "gaussian"])
-    def test_curl_j_matches_the_full_sum(self, scenario):
+                                          gaussian_scenario(TWO_PI / 8), None],
+                             ids=["vacuum", "gaussian", "violating-state-1e12"])
+    def test_curl_j_is_exactly_zero(self, scenario):
+        # curl grad = 0 holds for every state, so curl_j is 0.0 and not the
+        # rounding of a Fourier sum: on a run's samples, and in the public
+        # diagnostics of a large state that breaks both constraints
         g = Grid(16, TWO_PI, dims=3)
-        prop = chi_solver._Propagator(g)
-        state = init_state(g, scenario)
-        spectra = prop.spectra(state)
-        k = prop.space.k
-        grad = [ka * prop.space.fwd(state.chi_re) for ka in k]
-        want = float(np.sqrt(sum(prop._mean_sq(k[a] * grad[b] - k[b] * grad[a])
-                                 for a, b in ((1, 2), (2, 0), (0, 1)))))
-        assert repr(prop.diagnostics(spectra, 0.0).curl_j_residual) == repr(want)
+        if scenario is None:
+            v = violating_state(g, 25)
+            big = FieldState(g, v.t, *(1e12 * getattr(v, name)
+                                       for name in chi_solver.SNAPSHOT_FIELDS))
+            sample = diagnostics(big)
+        else:
+            prop = chi_solver._Propagator(g)
+            sample = prop.diagnostics(prop.spectra(init_state(g, scenario)), 0.0)
+        assert sample.curl_j_residual == 0.0
 
     def test_zero_chi_with_nonzero_chi_t_is_advanced(self):
         # chi is zero at t = 0 but d/dt chi is not: Re chi may not be skipped
@@ -1054,6 +1058,13 @@ class TestRunAndIO:
         g = Grid(16, TWO_PI, dims=1)
         with pytest.raises(ChiMaxwellError, match="output_every"):
             run(g, vacuum_scenario([1]), 10 * cfl_bound(g), output_every=-3)
+
+    @pytest.mark.parametrize("dt", [1e-310, 1e-320, 5e-324])
+    def test_step_count_beyond_float_rejected(self, dt):
+        # t_end / dt overflows to inf, which is no count of steps
+        g = Grid(16, TWO_PI, dims=1)
+        with pytest.raises(ChiMaxwellError, match=r"more than 2\*\*53"):
+            run(g, vacuum_scenario([1]), 1.0, dt=dt)
 
     def test_run_is_deterministic(self):
         g = Grid(32, TWO_PI, dims=1)

@@ -494,6 +494,8 @@ class TestSimulateCommand:
         {"scenario": {"type": "chi_gaussian", "params": {"width": 5e-324}}},
         {"scenario": {"type": "chi_planewave", "params": {"k": [0]}}},
         {"scenario": {"type": "custom", "params": {"chi_re": [0.0] * 16}}},
+        {"t_end": 1.0, "dt": 1e-310},
+        {"grid": {"n": 2**1100, "L": 6.283185307179586, "dims": 1}},
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
             "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
             "infinite-energy", "scenario-not-object", "params-not-object",
@@ -506,7 +508,7 @@ class TestSimulateCommand:
             "string-width", "bool-amplitude", "string-center",
             "custom-field-of-strings", "list-scenario-type", "bool-among-mode-numbers",
             "bool-among-custom-numbers", "tiny-width", "zero-chi-mode",
-            "custom-field-wrong-shape"])
+            "custom-field-wrong-shape", "step-count-beyond-float", "n-beyond-float"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:
