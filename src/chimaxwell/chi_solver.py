@@ -150,7 +150,7 @@ class SpectralSpace:
     Laplacian symbol is built from the same zeroed arrays.  This keeps the
     discrete identities exact -- div grad = laplacian, curl grad = 0, and
     div curl = 0 hold bin by bin -- at the price of the Nyquist shell not
-    propagating.  Initial data should be band-limited below it.
+    propagating.  Initial data must be band-limited below it: |k_a| < n/2.
 
     `fwd` returns mean-normalized coefficients (norm="forward"), whose squares
     Parseval sums as they are; n is a power of two, so that exact 1/n leaves
@@ -288,10 +288,13 @@ def _numbers(raw: dict, name: str, default, count: int | None = None):
 
 
 def _wave_vector(grid: Grid, raw: dict) -> np.ndarray:
-    """The 3-vector of the integer mode numbers k (1-D grids vary along z)."""
+    """The 3-vector of the integer mode numbers k, |k_a| < n/2 (1-D grids vary along z)."""
     modes = _numbers(raw, "k", [0, 0, 1] if grid.dims == 3 else [1], grid.dims)
     if not np.all(np.isfinite(modes) & (modes == np.round(modes))):
         raise ChiMaxwellError(f"mode numbers k must be integers, got {raw['k']!r}")
+    if not np.all(np.abs(modes) < grid.n / 2):
+        raise ChiMaxwellError(f"mode numbers k must lie below the band limit "
+                              f"|k_a| < n/2 = {grid.n // 2}, got {raw['k']!r}")
     kvec = 2.0 * np.pi * modes / grid.length
     return np.array([0.0, 0.0, kvec[0]]) if grid.dims == 1 else kvec
 
@@ -322,37 +325,34 @@ def _vacuum_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
 
 
 def _chi_gaussian(space: SpectralSpace, raw: dict, fields: dict) -> None:
-    """Real Gaussian chi with a mean-free d/dt chi and E from a spectral
-    Poisson solve: width, amplitude, center."""
+    """Band-limited periodized Gaussian chi, d/dt chi = chi / w without its mean and E = i k
+    (d/dt chi)^ / |k|^2, from their closed Fourier series: width, amplitude, center."""
     grid = space.grid
     width = _numbers(raw, "width", grid.length / 16.0)
     amplitude = _numbers(raw, "amplitude", 1.0)
     center = _numbers(raw, "center", [grid.length / 2.0] * grid.dims, grid.dims)
     if not width > 0.0:
         raise ChiMaxwellError(f"width must be positive, got {width!r}")
-    coords = space.coordinates()
     centers = [0.0, 0.0, center[0]] if grid.dims == 1 else list(center)
-    # Periodized (image-summed) Gaussian: smooth on the torus, so its
-    # spectrum decays like exp(-k^2 w^2 / 2) with no boundary kink.
-    bump = np.ones(grid.shape)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    chi = amplitude * np.float64(width * math.sqrt(2.0 * np.pi) / grid.length) ** grid.dims
     for a in range(3 - grid.dims, 3):
-        profile = np.zeros_like(coords[a])
-        for image in range(-2, 3):
-            profile = profile + np.exp(
-                -((coords[a] - centers[a] + image * grid.length) ** 2)
-                / (2.0 * width * width)
-            )
-        bump = bump * profile
-    bump = amplitude * bump
-    fields["chi_re"] = bump
-    fields["chi_re_t"] = (1.0 / width) * (bump - float(np.mean(bump)))
-    phi = space.solve_poisson(fields["chi_re_t"])
-    fields["e"] = -space.grad(phi)
+        factor = np.exp(-0.5 * (k * width) ** 2 - 1j * k * centers[a])
+        factor[grid.n // 2] = 0.0  # the Nyquist bin
+        chi = chi * factor[: space.k[a].size].reshape(space.k[a].shape)
+    chi_t = (1.0 / width) * chi  # a subnormal width overflows: 0 * inf is a NaN the gate rejects
+    chi_t.flat[0] = 0.0  # the mean of d/dt chi is dropped
+    potential = np.divide(chi_t, space.k2, out=np.zeros_like(chi_t), where=space.k2 > 0)
+    space.inv_in_place(chi, fields["chi_re"])
+    space.inv_in_place(chi_t, fields["chi_re_t"])
+    del chi, chi_t
+    for a in range(3 - grid.dims, 3):
+        space.inv_in_place(1j * space.k[a] * potential, fields["e"][a])
 
 
 def _chi_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
-    """chi = A cos(k.x) with the traveling-wave d/dt chi and E from a
-    spectral Poisson solve: k (nonzero), amplitude."""
+    """chi = A cos(k.x) with the traveling-wave d/dt chi and the
+    longitudinal E = A k^ cos(k.x): k (nonzero), amplitude."""
     kvec = _wave_vector(space.grid, raw)
     if not np.any(kvec):
         raise ChiMaxwellError("chi_planewave requires a nonzero mode")
@@ -361,8 +361,8 @@ def _chi_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
     fields["chi_re"] = amplitude * phase.real
     # d/dt cos(k.x - |k| t) at t = 0
     fields["chi_re_t"] = amplitude * float(np.linalg.norm(kvec)) * phase.imag
-    phi = space.solve_poisson(fields["chi_re_t"])
-    fields["e"] = -space.grad(phi)
+    for a in np.flatnonzero(kvec):
+        np.multiply(amplitude * (kvec[a] / np.linalg.norm(kvec)), phase.real, out=fields["e"][a])
 
 
 def _custom(space: SpectralSpace, raw: dict, fields: dict) -> None:
@@ -391,20 +391,21 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
 
     * "vacuum_planewave": params k (integer mode numbers), helicity (+1/-1,
       default -1), amplitude.  Transverse circularly polarized wave, chi = 0.
-    * "chi_gaussian": params width, amplitude, center.  Real Gaussian chi
-      with a mean-free d/dt chi; E is the spectral-Poisson gradient field
-      that satisfies the electric constraint exactly; B = 0.
+    * "chi_gaussian": params width, amplitude, center.  Real chi, the
+      band-limited periodized Gaussian, with a mean-free d/dt chi and the
+      longitudinal E that meets the electric constraint bin by bin, all
+      three from their closed Fourier series; B = 0.
     * "chi_planewave": params k, amplitude.  chi(x, 0) = A cos(k.x) with the
-      traveling-wave time derivative, E again from a spectral Poisson solve.
+      traveling-wave time derivative and E = A k^ cos(k.x).
     * "custom": params e, b, chi_re, chi_im, chi_re_t, chi_im_t as arrays
       (missing entries are zero).
 
-    Params take numbers only, never a bool or a string; a malformed one
-    raises ChiMaxwellError.  Every returned state satisfies both divergence
-    constraints at t = 0: the gate reads the residuals of the state's
-    t = 0 diagnostics sample, and data violating them beyond 1e-8 or not
-    finite raises InconsistentScenario, as does any nonzero Im chi under
-    chi_mode="real".
+    Params take numbers only, never a bool or a string, and mode numbers
+    |k_a| < n/2 (the band limit); a malformed one raises ChiMaxwellError.
+    Every returned state satisfies both divergence constraints at t = 0: the
+    gate reads the residuals of its t = 0 diagnostics sample, and data
+    violating them beyond 1e-8 or not finite raises InconsistentScenario, as
+    does any nonzero Im chi under chi_mode="real".
     """
     return _start(grid, scenario, chi_mode)[0]
 
@@ -416,10 +417,9 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
     _check_room(grid, 1)  # one state bounds a run's memory from below
     prop = _Propagator(grid)
-    # The builder's grids (a Poisson potential, a phase) are gone by the
-    # time the state is transformed.  Non-finite data raises no warning
-    # here: the gate below rejects it.  That includes a division by zero,
-    # such as a chi_gaussian width below ~1e-162, whose 2 width^2 is 0.
+    # The builder's grids (a phase, the spectra it inverts) are gone by the time the
+    # state is transformed.  Non-finite data raises no warning here: the gate below
+    # rejects it, as it does the overflow of 1 / width for a subnormal chi_gaussian width.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         state = _initial_fields(prop.space, scenario, chi_mode)
         spectra = prop.spectra(state)

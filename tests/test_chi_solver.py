@@ -223,9 +223,9 @@ class TestInitState:
         (3, [1, 0, 2], 0.75), (3, [-1, 1, 1], 1.0), (1, [3], 1.25)])
     def test_chi_planewave_closed_form_at_t0(self, dims, modes, amplitude):
         # E = A k^ cos(k.x), d/dt chi = A |k| sin(k.x), B = 0, from the
-        # coordinates directly rather than from the builder's phase.  E
-        # comes through a Poisson solve and a gradient (four transforms):
-        # up to 5.6e-15 off here, against 0.0 for chi and d/dt chi.
+        # coordinates directly rather than from the builder's phase.  The
+        # builder writes E from the same cosine, with no transform, so E is
+        # held to the bound of d/dt chi.
         g = Grid(16, TWO_PI, dims=dims)
         state = init_state(g, {"type": "chi_planewave",
                                "params": {"k": modes, "amplitude": amplitude}})
@@ -238,10 +238,61 @@ class TestInitState:
             kx = k[2] * x
         knorm = np.sqrt(np.sum(k * k))
         for a in range(3):
-            assert np.max(np.abs(state.e[a] - amplitude * (k[a] / knorm) * np.cos(kx))) <= 1e-14
+            assert np.max(np.abs(state.e[a] - amplitude * (k[a] / knorm) * np.cos(kx))) <= 1e-15
         assert np.max(np.abs(state.chi_re - amplitude * np.cos(kx))) <= 1e-14
         assert np.max(np.abs(state.chi_re_t - amplitude * knorm * np.sin(kx))) <= 1e-15
         assert not np.any(state.b)
+
+
+    @pytest.mark.parametrize("dims, n", [(1, 8), (1, 16), (3, 16)])
+    def test_default_gaussian_passes_the_gate_on_coarse_grids(self, dims, n):
+        # The default width L/16 is at most one cell here.  A Gaussian with
+        # no Nyquist content meets the electric constraint bin by bin.
+        g = Grid(n, TWO_PI, dims=dims)
+        _, diags, _ = run(g, {"type": "chi_gaussian"}, 2 * cfl_bound(g))
+        assert diags[0].gauss_e_residual <= 1e-15
+        assert diags[0].gauss_b_residual == 0.0
+
+    @pytest.mark.parametrize("dims, n, width, center", [
+        (3, 32, TWO_PI / 8, [1.1, 2.7, 4.3]), (1, 64, TWO_PI / 10, [2.2])])
+    def test_resolved_gaussian_matches_its_image_sum(self, dims, n, width, center):
+        # chi is the Gaussian summed over 7 images per axis, sampled on the
+        # grid; d/dt chi is (chi - mean) / width, and E the spectral
+        # gradient field with div E = -d/dt chi, built here through
+        # SpectralSpace's own Poisson solve and gradient.
+        g = Grid(n, TWO_PI, dims=dims)
+        amplitude = 0.8
+        state = init_state(g, {"type": "chi_gaussian", "params": {
+            "width": width, "amplitude": amplitude, "center": center}})
+        space = SpectralSpace(g)
+        centers = [0.0, 0.0, center[0]] if dims == 1 else center
+        chi = amplitude * np.ones(g.shape)
+        for x, c in list(zip(space.coordinates(), centers))[3 - dims:]:
+            chi = chi * sum(np.exp(-(x - c + m * g.length) ** 2 / (2.0 * width**2))
+                            for m in range(-3, 4))
+        chi_t = (chi - np.mean(chi)) / width
+        e = -space.grad(space.solve_poisson(chi_t))
+
+        def max_relative(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        assert max_relative(state.chi_re, chi) <= 1e-13
+        assert max_relative(state.chi_re_t, chi_t) <= 1e-13
+        assert max_relative(state.e, e) <= 1e-13
+        assert not np.any(state.b) and not np.any(state.chi_im) and not np.any(state.chi_im_t)
+
+    @pytest.mark.parametrize("kind", ["vacuum_planewave", "chi_planewave"])
+    @pytest.mark.parametrize("dims, modes", [
+        (1, [8]), (1, [9]), (1, [-8]), (3, [8, 0, 0]), (3, [0, 9, 1]), (3, [1, -2, -8])])
+    def test_mode_numbers_beyond_the_band_limit_rejected(self, kind, dims, modes):
+        # |k_a| >= n/2 is a config error, not a constraint violation: k = n/2
+        # would never move and k = n/2 + 1 would run as its alias.
+        g = Grid(16, TWO_PI, dims=dims)
+        with pytest.raises(ChiMaxwellError, match="band limit") as excinfo:
+            init_state(g, {"type": kind, "params": {"k": modes}})
+        assert not isinstance(excinfo.value, InconsistentScenario)
+        top = [7] if dims == 1 else [7, -7, 7]  # the highest mode that propagates
+        init_state(g, {"type": kind, "params": {"k": top}})
 
 
 class TestStep:
@@ -466,9 +517,9 @@ class TestZeroFields:
         _, want_diags, want_snaps = run(*args, output_every=3, chi_mode=chi_mode)
         assert repr(diags) == repr(want_diags)  # repr keeps the sign of a zero
         assert [state_bits(s) for s in snaps[1:]] == [state_bits(s) for s in want_snaps[1:]]
-        # The initial E of a 1-D chi_gaussian is a gradient whose x and y
-        # components are zero; an FFT of their zero spectra leaves a +0.0 or
-        # a -0.0 in each cell by its rounding, so t = 0 is equal in value.
+        # t = 0 is the builder's state, which neither patch reaches: the
+        # builder inverts through inv_in_place, and leaves the x and y
+        # components of a 1-D chi_gaussian's E as the +0.0 zeros it is given.
         for name in chi_solver.SNAPSHOT_FIELDS:
             assert np.array_equal(getattr(snaps[0], name), getattr(want_snaps[0], name))
 
@@ -499,21 +550,22 @@ class TestZeroFields:
         _, want_diags, want_snaps = run(*args, output_every=3, chi_mode=chi_mode)
         assert repr(diags) == repr(want_diags)
         assert [state_bits(s) for s in snaps[1:]] == [state_bits(s) for s in want_snaps[1:]]
-        # At t = 0 the builder's zero gradient components (1-D chi_gaussian)
-        # come from an FFT of zero spectra, whose cells round to +-0.0.
+        # At t = 0 the builder's fields come through the patched inverse too;
+        # the x and y components of a 1-D chi_gaussian's E are never
+        # transformed and stay +0.0.
         for name in chi_solver.SNAPSHOT_FIELDS:
             assert np.array_equal(getattr(snaps[0], name), getattr(want_snaps[0], name))
 
     @pytest.mark.parametrize("dims, keep, counts", [
-        (3, False, (7, 12)), (3, True, (7, 28)), (1, False, (5, 5)), (1, True, (5, 11)),
+        (3, False, (5, 13)), (3, True, (5, 29)), (1, False, (3, 6)), (1, True, (3, 12)),
     ])
     def test_transform_counts_are_pinned(self, fft_inputs, dims, keep, counts):
         # One rfftn or irfftn call per nonzero component, however its stages
-        # run: the builder's Poisson solve and gradient (2 forward; 1 + 3
-        # inverse, or 1 + 1 in 1-D, whose x and y gradients are zero), the
-        # t = 0 spectra (E, Re chi and its d/dt), and each state unpacked
-        # (E, the roundoff B of 3-D, Re chi and its d/dt): of the 3 outputs
-        # after t = 0 only the last, unless states are kept.
+        # run: the builder's closed-form spectra (no forward; Re chi, its
+        # d/dt and E inverted, 3 + 2, or 1 + 2 in 1-D, whose E has no x or y
+        # component), the t = 0 spectra (E, Re chi and its d/dt), and each
+        # state unpacked (E, the roundoff B of 3-D, Re chi and its d/dt): of
+        # the 3 outputs after t = 0 only the last, unless states are kept.
         g = Grid(16 if dims == 3 else 256, TWO_PI, dims=dims)
         run(g, gaussian_scenario(TWO_PI / 8), 6 * cfl_bound(g), output_every=2,
             keep_snapshots=keep)
@@ -934,25 +986,25 @@ class TestSpectralDiagnostics:
         assert counts == {"__init__": 1, "spectra": 1, "diagnostics": len(diags)}
 
     def test_builder_grids_are_freed_before_the_transform(self, monkeypatch):
-        # chi_gaussian's Poisson potential must be gone when the initial
-        # state is transformed, so it does not add to the start-up peak.
+        # The spectra chi_gaussian inverts into its fields (Re chi, its d/dt
+        # and the three components of E) must be gone when the initial state
+        # is transformed, so they do not add to the start-up peak.
         refs, alive = [], []
-        solve, spectra = SpectralSpace.solve_poisson, chi_solver._Propagator.spectra
+        inv, spectra = SpectralSpace.inv_in_place, chi_solver._Propagator.spectra
 
-        def keeping(space, rhs):
-            phi = solve(space, rhs)
-            refs.append(weakref.ref(phi))
-            return phi
+        def keeping(space, fh, out=None):
+            refs.append(weakref.ref(fh))
+            return inv(space, fh, out)
 
         def checking(prop, state):
             alive.append([ref() is not None for ref in refs])
             return spectra(prop, state)
 
-        monkeypatch.setattr(SpectralSpace, "solve_poisson", keeping)
+        monkeypatch.setattr(SpectralSpace, "inv_in_place", keeping)
         monkeypatch.setattr(chi_solver._Propagator, "spectra", checking)
         g = Grid(16, TWO_PI, dims=3)
         run(g, gaussian_scenario(TWO_PI / 8), 2 * cfl_bound(g))
-        assert alive == [[False]]
+        assert alive == [[False] * 5]
 
 
 class TestVacuumReduction:

@@ -496,6 +496,13 @@ class TestSimulateCommand:
         {"scenario": {"type": "custom", "params": {"chi_re": [0.0] * 16}}},
         {"t_end": 1.0, "dt": 1e-310},
         {"grid": {"n": 2**1100, "L": 6.283185307179586, "dims": 1}},
+        {"grid": {"n": 16, "L": 6.283185307179586, "dims": 1},
+         "scenario": {"type": "vacuum_planewave", "params": {"k": [8]}}},
+        {"grid": {"n": 16, "L": 6.283185307179586, "dims": 3},
+         "scenario": {"type": "chi_planewave", "params": {"k": [9, 0, 0]}}},
+        # the mean of the periodized Gaussian, (w sqrt(2 pi)/L)^3, overflows
+        {"grid": {"n": 8, "L": 1.0, "dims": 3},
+         "scenario": {"type": "chi_gaussian", "params": {"width": 1e200}}},
     ], ids=["missing-grid-keys", "unknown-scenario-type", "bad-chi-mode",
             "zero-t-end", "negative-t-end", "zero-dt", "nan-amplitude",
             "infinite-energy", "scenario-not-object", "params-not-object",
@@ -508,7 +515,8 @@ class TestSimulateCommand:
             "string-width", "bool-amplitude", "string-center",
             "custom-field-of-strings", "list-scenario-type", "bool-among-mode-numbers",
             "bool-among-custom-numbers", "tiny-width", "zero-chi-mode",
-            "custom-field-wrong-shape", "step-count-beyond-float", "n-beyond-float"])
+            "custom-field-wrong-shape", "step-count-beyond-float", "n-beyond-float",
+            "nyquist-mode-number", "aliased-mode-number", "huge-3d-width"])
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides):
         # every configuration error exits 2 with one line on stderr, no traceback
         if overrides is None:
@@ -631,8 +639,11 @@ class TestOutMadeAtFirstWrite:
         (["planewave", "--p", "1e150,0,0", "--chi", "1e200"], None),
         (["simulate"], {"grid": {"n": 8, "L": 1.0, "dims": 1}, "t_end": 0.1,
                         "scenario": {"type": "nope"}}),
-        (["simulate"], {"grid": {"n": 8, "L": 2 * np.pi, "dims": 1}, "t_end": 0.1,
-                        "scenario": {"type": "chi_gaussian"}}),
+        # the monopole of test_custom_monopole_data_rejected: B_z = sin(z), div B != 0
+        (["simulate"], {"grid": {"n": 16, "L": 2 * np.pi, "dims": 1}, "t_end": 0.1,
+                        "scenario": {"type": "custom", "params": {"b": [
+                            [0.0] * 16, [0.0] * 16,
+                            np.sin(np.arange(16) * (2 * np.pi / 16)).tolist()]}}}),
         (["simulate"], TestSimulateCommand.ENDLESS),
     ], ids=["verify-trials-beyond-memory", "table-zero-mass", "scan-overflow",
             "planewave-overflowing-residuals", "simulate-unknown-scenario",
