@@ -287,16 +287,25 @@ def _numbers(raw: dict, name: str, default, count: int | None = None):
     raise ChiMaxwellError(f"scenario param {name!r} takes {what}, got {value!r}")
 
 
-def _wave_vector(grid: Grid, raw: dict) -> np.ndarray:
-    """The 3-vector of the integer mode numbers k, |k_a| < n/2 (1-D grids vary along z)."""
+def _wave_vector(grid: Grid, raw: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k): the 3-vectors of the integer mode numbers, |m_a| < n/2, and of
+    the wavenumbers k = 2 pi m / L (1-D grids vary along z)."""
     modes = _numbers(raw, "k", [0, 0, 1] if grid.dims == 3 else [1], grid.dims)
     if not np.all(np.isfinite(modes) & (modes == np.round(modes))):
         raise ChiMaxwellError(f"mode numbers k must be integers, got {raw['k']!r}")
     if not np.all(np.abs(modes) < grid.n / 2):
         raise ChiMaxwellError(f"mode numbers k must lie below the band limit "
                               f"|k_a| < n/2 = {grid.n // 2}, got {raw['k']!r}")
-    kvec = 2.0 * np.pi * modes / grid.length
-    return np.array([0.0, 0.0, kvec[0]]) if grid.dims == 1 else kvec
+    if grid.dims == 1:
+        modes = np.array([0.0, 0.0, modes[0]])
+    return modes, 2.0 * np.pi * modes / grid.length
+
+
+def _bin(grid: Grid, modes: np.ndarray) -> tuple[slice, ...] | None:
+    """The half-grid bin of the mode numbers `modes` (a 3-vector; 1-D reads the
+    last) as slices, or None if the last is negative: the rfftn leaves it out."""
+    m = [int(c) for c in modes[3 - grid.dims:]]
+    return tuple(slice(c % grid.n, c % grid.n + 1) for c in m) if m[-1] >= 0 else None
 
 
 def _plane_phase(space: SpectralSpace, kvec: np.ndarray) -> np.ndarray:
@@ -306,11 +315,19 @@ def _plane_phase(space: SpectralSpace, kvec: np.ndarray) -> np.ndarray:
 
 # Each builder reads its params, then writes the fields it defines into
 # `fields` (the six zero arrays of _initial_fields), each one as soon as it
-# is computed: the order in which the grids are freed sets the peak RSS.
+# is computed: the order in which the grids are freed sets the peak RSS.  The
+# closed forms then return the spectra pair (see _Propagator); `custom`, None.
 
-def _vacuum_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
+def _electric(prop: _Propagator, pair: np.ndarray) -> np.ndarray:
+    """The pair of real chi (R, R_t), B = 0 and E = i k R_t/|k|^2: l = l_c = i R_t/|k|."""
+    pair[:, 2] = 1j * pair[0, 4] * prop.inv_k
+    return pair
+
+
+def _vacuum_planewave(prop: _Propagator, raw: dict, fields: dict) -> np.ndarray:
     """Transverse circularly polarized wave: k, helicity, amplitude."""
-    kvec = _wave_vector(space.grid, raw)
+    space = prop.space
+    modes, kvec = _wave_vector(space.grid, raw)
     amplitude = _numbers(raw, "amplitude", 1.0)
     helicity = _numbers(raw, "helicity", -1)
     if helicity not in (1.0, -1.0):
@@ -322,12 +339,18 @@ def _vacuum_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
     psi = [amplitude * c * phase for c in pol]
     fields["e"] = np.stack([c.real for c in psi])
     fields["b"] = np.stack([-c.imag for c in psi])
+    del phase, psi
+    # psi = a e^{ik.x} is a at the bin m of psi's half, conj(psi) conj(a) at -m of the other
+    pair, a = np.zeros((2, 5, *space.half), dtype=np.complex128), amplitude * pol
+    prop.put(pair[0], _bin(space.grid, modes), a)
+    prop.put(pair[1], _bin(space.grid, -modes), a.conj())
+    return pair
 
 
-def _chi_gaussian(space: SpectralSpace, raw: dict, fields: dict) -> None:
+def _chi_gaussian(prop: _Propagator, raw: dict, fields: dict) -> np.ndarray:
     """Band-limited periodized Gaussian chi, d/dt chi = chi / w without its mean and E = i k
     (d/dt chi)^ / |k|^2, from their closed Fourier series: width, amplitude, center."""
-    grid = space.grid
+    space, grid = prop.space, prop.space.grid
     width = _numbers(raw, "width", grid.length / 16.0)
     amplitude = _numbers(raw, "amplitude", 1.0)
     center = _numbers(raw, "center", [grid.length / 2.0] * grid.dims, grid.dims)
@@ -342,30 +365,41 @@ def _chi_gaussian(space: SpectralSpace, raw: dict, fields: dict) -> None:
         chi = chi * factor[: space.k[a].size].reshape(space.k[a].shape)
     chi_t = (1.0 / width) * chi  # a subnormal width overflows: 0 * inf is a NaN the gate rejects
     chi_t.flat[0] = 0.0  # the mean of d/dt chi is dropped
+    pair = np.zeros((2, 5, *space.half), dtype=np.complex128)
+    pair[0, 3], pair[0, 4] = chi, chi_t  # before the inverses below use them as scratch
     potential = np.divide(chi_t, space.k2, out=np.zeros_like(chi_t), where=space.k2 > 0)
     space.inv_in_place(chi, fields["chi_re"])
     space.inv_in_place(chi_t, fields["chi_re_t"])
     del chi, chi_t
     for a in range(3 - grid.dims, 3):
         space.inv_in_place(1j * space.k[a] * potential, fields["e"][a])
+    return _electric(prop, pair)
 
 
-def _chi_planewave(space: SpectralSpace, raw: dict, fields: dict) -> None:
+def _chi_planewave(prop: _Propagator, raw: dict, fields: dict) -> np.ndarray:
     """chi = A cos(k.x) with the traveling-wave d/dt chi and the
     longitudinal E = A k^ cos(k.x): k (nonzero), amplitude."""
-    kvec = _wave_vector(space.grid, raw)
+    space = prop.space
+    modes, kvec = _wave_vector(space.grid, raw)
     if not np.any(kvec):
         raise ChiMaxwellError("chi_planewave requires a nonzero mode")
     amplitude = _numbers(raw, "amplitude", 1.0)
+    kabs = float(np.linalg.norm(kvec))
     phase = _plane_phase(space, kvec)
     fields["chi_re"] = amplitude * phase.real
     # d/dt cos(k.x - |k| t) at t = 0
-    fields["chi_re_t"] = amplitude * float(np.linalg.norm(kvec)) * phase.imag
+    fields["chi_re_t"] = amplitude * kabs * phase.imag
     for a in np.flatnonzero(kvec):
-        np.multiply(amplitude * (kvec[a] / np.linalg.norm(kvec)), phase.real, out=fields["e"][a])
+        np.multiply(amplitude * (kvec[a] / kabs), phase.real, out=fields["e"][a])
+    del phase
+    pair = np.zeros((2, 5, *space.half), dtype=np.complex128)
+    for sign in (1.0, -1.0):  # A cos(k.x) is A/2 at +-m, A |k| sin(k.x) is -+(i/2) A |k|
+        if (at := _bin(space.grid, sign * modes)) is not None:
+            pair[(0, 3, *at)], pair[(0, 4, *at)] = 0.5 * amplitude, -sign * 0.5j * amplitude * kabs
+    return _electric(prop, pair)
 
 
-def _custom(space: SpectralSpace, raw: dict, fields: dict) -> None:
+def _custom(prop: _Propagator, raw: dict, fields: dict) -> None:
     """Any of the fields as arrays of numbers; one left out stays zero."""
     for name, zero in fields.items():
         if raw.get(name) is None:
@@ -398,7 +432,8 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
     * "chi_planewave": params k, amplitude.  chi(x, 0) = A cos(k.x) with the
       traveling-wave time derivative and E = A k^ cos(k.x).
     * "custom": params e, b, chi_re, chi_im, chi_re_t, chi_im_t as arrays
-      (missing entries are zero).
+      (missing entries are zero); the only data `run` transforms: the other
+      builders also write the t = 0 spectra from their closed forms.
 
     Params take numbers only, never a bool or a string, and mode numbers
     |k_a| < n/2 (the band limit); a malformed one raises ChiMaxwellError.
@@ -411,18 +446,17 @@ def init_state(grid: Grid, scenario: dict, chi_mode: str = "real") -> FieldState
 
 
 def _start(grid: Grid, scenario: dict, chi_mode: str):
-    """(state, propagator, spectra, sample) at t = 0, built, transformed
-    once and gated: the one start-up path of init_state and run."""
+    """(state, propagator, spectra, sample) at t = 0, built (and transformed, for
+    custom data) and gated: the one start-up path of init_state and run."""
     if chi_mode not in ("real", "complex"):
         raise ChiMaxwellError("chi_mode must be 'real' or 'complex'")
     _check_room(grid, 1)  # one state bounds a run's memory from below
     prop = _Propagator(grid)
-    # The builder's grids (a phase, the spectra it inverts) are gone by the time the
-    # state is transformed.  Non-finite data raises no warning here: the gate below
-    # rejects it, as it does the overflow of 1 / width for a subnormal chi_gaussian width.
+    # Non-finite data raises no warning here: the gate below rejects it, as it
+    # does the overflow of 1 / width for a subnormal chi_gaussian width.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        state = _initial_fields(prop.space, scenario, chi_mode)
-        spectra = prop.spectra(state)
+        state, spectra = _initial_fields(prop, scenario, chi_mode)
+        spectra = prop.spectra(state) if spectra is None else spectra  # custom data
         sample = prop.diagnostics(spectra, 0.0)
     ge, gb = sample.gauss_e_residual, sample.gauss_b_residual
     # Written so that a NaN residual (non-finite input data) is rejected too.
@@ -434,9 +468,10 @@ def _start(grid: Grid, scenario: dict, chi_mode: str):
     return state, prop, spectra, sample
 
 
-def _initial_fields(space: SpectralSpace, scenario, chi_mode: str) -> FieldState:
+def _initial_fields(prop: _Propagator, scenario, chi_mode: str) -> tuple:
     """The t = 0 fields of a scenario, before the constraint gate: six zero
-    fields, overwritten by the scenario's builder where it defines them."""
+    fields, overwritten by the scenario's builder where it defines them,
+    and the spectra pair the builder returns (None for `custom`)."""
     if not isinstance(scenario, dict):
         raise ChiMaxwellError("scenario must be an object with 'type' and 'params'")
     kind, raw = scenario.get("type"), scenario.get("params", {})
@@ -445,16 +480,16 @@ def _initial_fields(space: SpectralSpace, scenario, chi_mode: str) -> FieldState
     build = _SCENARIOS.get(kind) if isinstance(kind, str) else None
     if build is None:
         raise ChiMaxwellError(f"unknown scenario type {kind!r}")
-    shape = space.grid.shape
+    shape = prop.space.grid.shape
     fields = {name: np.zeros((3, *shape) if name in ("e", "b") else shape)
               for name in SNAPSHOT_FIELDS}
-    build(space, raw, fields)
+    spectra = build(prop, raw, fields)
     if chi_mode == "real" and (np.any(fields["chi_im"] != 0.0)
                                or np.any(fields["chi_im_t"] != 0.0)):
         raise InconsistentScenario(
             "Im(chi) is nonzero; magnetic-source mode needs chi_mode='complex'"
         )
-    return FieldState(space.grid, 0.0, **fields)
+    return FieldState(prop.space.grid, 0.0, **fields), spectra
 
 
 def _check_cfl(grid: Grid, dt: float) -> None:
@@ -495,6 +530,7 @@ class _Propagator:
     which turns the other way (rho and conj(rho) swap) and takes
     l_c += (i dR + dI)/|k|.  `spectra` packs each half through `_project`
     (`_pack`), and a zero B only once: both halves are then E, bit for bit.
+    Closed-form builders write their own pair (`put` packs one bin).
     `state` unpacks E from the sum of the halves and B from their
     difference through its transpose, `_unproject`, one component at a
     time, each a temporary that `SpectralSpace.inv_in_place` transforms in
@@ -513,11 +549,12 @@ class _Propagator:
         # the last axis in a spectrum's float64 view (see _mean_sq).
         self.edges = [0, 1, grid.n, grid.n + 1]
 
-    def _project(self, v):
-        """(th^.v, ph^.v, k^.v) of a vector spectrum v of shape (3, ...)."""
-        u = self.cphi * v[0] + self.sphi * v[1]  # the in-plane radial part
-        return (self.cos_t * u - self.sin_t * v[2], self.cphi * v[1] - self.sphi * v[0],
-                self.sin_t * u + self.cos_t * v[2])
+    def _project(self, v, triad=None):
+        """(th^.v, ph^.v, k^.v) of a vector spectrum v of shape (3, ...), on the
+        triad, or on `triad`, a part of (cphi, sphi, cos_t, sin_t) that v fits."""
+        cphi, sphi, cos_t, sin_t = triad or (self.cphi, self.sphi, self.cos_t, self.sin_t)
+        u = cphi * v[0] + sphi * v[1]  # the in-plane radial part
+        return cos_t * u - sin_t * v[2], cphi * v[1] - sphi * v[0], sin_t * u + cos_t * v[2]
 
     def _unproject(self, v_th, v_ph, v_k):
         """The Cartesian components z, x, y, one at a time, of the vector
@@ -528,13 +565,21 @@ class _Propagator:
         yield self.cphi * u - self.sphi * v_ph
         yield self.sphi * u + self.cphi * v_ph
 
-    def _pack(self, v, half) -> None:
+    def _pack(self, v, half, triad=None) -> None:
         """Write the triad amplitudes h+- = th^.v -+ i ph^.v and l = k^.v of
         the vector spectrum v into half[:3]; v may be half[:3] itself."""
-        th, iph, half[2] = self._project(v)
+        th, iph, half[2] = self._project(v, triad)
         iph *= 1j
         np.subtract(th, iph, out=half[0])
         np.add(th, iph, out=half[1])
+
+    def put(self, half, at: tuple[slice, ...] | None, v: np.ndarray) -> None:
+        """`_pack` the complex 3-vector v into the bin `at` (see `_bin`) of one
+        half of a pair, on the triad of that bin; `at` None writes nothing."""
+        if at is not None:
+            triad = [np.broadcast_to(x, self.space.half)[at]
+                     for x in (self.cphi, self.sphi, self.cos_t, self.sin_t)]
+            self._pack(np.reshape(v, (3,) + (1,) * len(at)), half[(slice(None), *at)], triad)
 
     def spectra(self, state: FieldState) -> np.ndarray:
         """The (2, 5, *half) pair of a state (see the class): the halves are
@@ -762,12 +807,13 @@ def run(
     output_every = k records every k-th step (plus t = 0 and the final step);
     output_every = 0 records endpoints only.  Deterministic given inputs.
     The steps between two outputs are taken as one jump of the propagator
-    (see _Propagator), so the cost grows with the number of outputs.  The
-    initial state is transformed once; every sample comes from the
-    propagator's spectra, and a state returns to real space only when it is
-    kept or written.  An all-zero field is never transformed (see
-    SpectralSpace), nor a zero chi part advanced: a vacuum wave costs no chi
-    work, and a real-chi run neither transforms nor advances Im chi.
+    (see _Propagator), so the cost grows with the number of outputs.  A
+    closed-form scenario starts from its builder's spectra, custom data from
+    one transform; every sample comes from the propagator's spectra, and a
+    state returns to real space only when it is kept or written.  An
+    all-zero field is never transformed (see SpectralSpace), nor a zero chi
+    part advanced: a vacuum wave costs no chi work, and a real-chi run
+    neither transforms nor advances Im chi.
 
     When out_dir is given, snapshots (.bin + .json sidecar) and a
     diagnostics.csv time series are written there, which is made only once

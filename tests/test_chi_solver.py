@@ -478,18 +478,19 @@ class TestZeroFields:
     def test_vacuum_run_transforms_each_nonzero_component_once(self, fft_inputs):
         g = Grid(16, TWO_PI, dims=3)
         run(g, vacuum_scenario([1, 0, 2]), 4 * cfl_bound(g), output_every=0)
-        # E and B in, E and B out; chi and d/dt chi are zero both ways
-        assert len(fft_inputs["fwd"]) == len(fft_inputs["inv"]) == 6
-        assert all(a.shape == g.shape for a in fft_inputs["fwd"])
+        # The builder writes the spectra, so nothing goes in; E and B come
+        # out, and chi and d/dt chi, which are zero, never do
+        assert len(fft_inputs["fwd"]) == 0
+        assert len(fft_inputs["inv"]) == 6
 
     @pytest.mark.parametrize("dims", [1, 3])
     def test_real_chi_run_never_transforms_im_chi(self, fft_inputs, dims):
         g = Grid(16 if dims == 3 else 256, TWO_PI, dims=dims)
-        _, _, snaps = run(g, gaussian_scenario(TWO_PI / 8), 6 * cfl_bound(g), output_every=2)
-        assert fft_inputs["fwd"] and fft_inputs["inv"]
-        assert all(a is not snaps[0].chi_im and a is not snaps[0].chi_im_t
-                   for a in fft_inputs["fwd"])
-        assert all(np.any(a) for a in fft_inputs["fwd"] + fft_inputs["inv"])
+        run(g, gaussian_scenario(TWO_PI / 8), 6 * cfl_bound(g), output_every=2)
+        # The builder writes the spectra, so no field is transformed forward,
+        # and no inverse input is zero, so Im chi is never unpacked
+        assert not fft_inputs["fwd"] and fft_inputs["inv"]
+        assert all(np.any(a) for a in fft_inputs["inv"])
 
     @pytest.mark.parametrize("dims, build, chi_mode", [
         (3, lambda g: vacuum_scenario([1, 0, 2], helicity=1), "real"),
@@ -520,6 +521,8 @@ class TestZeroFields:
         # t = 0 is the builder's state, which neither patch reaches: the
         # builder inverts through inv_in_place, and leaves the x and y
         # components of a 1-D chi_gaussian's E as the +0.0 zeros it is given.
+        # A closed-form builder also writes its own spectra, so only the
+        # custom cases transform their t = 0 state through the patched fwd.
         for name in chi_solver.SNAPSHOT_FIELDS:
             assert np.array_equal(getattr(snaps[0], name), getattr(want_snaps[0], name))
 
@@ -552,20 +555,23 @@ class TestZeroFields:
         assert [state_bits(s) for s in snaps[1:]] == [state_bits(s) for s in want_snaps[1:]]
         # At t = 0 the builder's fields come through the patched inverse too;
         # the x and y components of a 1-D chi_gaussian's E are never
-        # transformed and stay +0.0.
+        # transformed and stay +0.0.  The spectra a closed-form builder
+        # writes pass through no inverse, so for those cases the later
+        # states compare the unpacks alone.
         for name in chi_solver.SNAPSHOT_FIELDS:
             assert np.array_equal(getattr(snaps[0], name), getattr(want_snaps[0], name))
 
     @pytest.mark.parametrize("dims, keep, counts", [
-        (3, False, (5, 13)), (3, True, (5, 29)), (1, False, (3, 6)), (1, True, (3, 12)),
+        (3, False, (0, 10)), (3, True, (0, 20)), (1, False, (0, 6)), (1, True, (0, 12)),
     ])
     def test_transform_counts_are_pinned(self, fft_inputs, dims, keep, counts):
         # One rfftn or irfftn call per nonzero component, however its stages
-        # run: the builder's closed-form spectra (no forward; Re chi, its
-        # d/dt and E inverted, 3 + 2, or 1 + 2 in 1-D, whose E has no x or y
-        # component), the t = 0 spectra (E, Re chi and its d/dt), and each
-        # state unpacked (E, the roundoff B of 3-D, Re chi and its d/dt): of
-        # the 3 outputs after t = 0 only the last, unless states are kept.
+        # run.  No forward one: the builder writes the t = 0 spectra from
+        # their closed forms.  Inverse ones: the builder's fields (Re chi,
+        # its d/dt and E, 2 + 3, or 2 + 1 in 1-D, whose E has no x or y
+        # component), and each state unpacked (E, Re chi and its d/dt; B is
+        # exactly zero and costs none): of the 3 outputs after t = 0 only
+        # the last, unless states are kept.
         g = Grid(16 if dims == 3 else 256, TWO_PI, dims=dims)
         run(g, gaussian_scenario(TWO_PI / 8), 6 * cfl_bound(g), output_every=2,
             keep_snapshots=keep)
@@ -973,6 +979,11 @@ class TestSpectralDiagnostics:
         assert energy == pytest.approx(0.5e304 * g.length, rel=1e-14)
 
     def test_run_transforms_the_initial_state_once(self, monkeypatch):
+        # At most once: a closed-form scenario starts from the spectra its
+        # builder writes, and only custom data is transformed
+        g = Grid(16, TWO_PI, dims=3)
+        cases = ((gaussian_scenario(TWO_PI / 8), "real", 0),
+                 (complex_chi_scenario(g), "complex", 1))
         counts = dict.fromkeys(("__init__", "spectra", "diagnostics"), 0)
         for name in counts:
             def counting(*args, _name=name, _method=getattr(chi_solver._Propagator, name)):
@@ -980,31 +991,94 @@ class TestSpectralDiagnostics:
                 return _method(*args)
 
             monkeypatch.setattr(chi_solver._Propagator, name, counting)
-        g = Grid(16, TWO_PI, dims=3)
-        _, diags, _ = run(g, gaussian_scenario(TWO_PI / 8), 4 * cfl_bound(g), output_every=2)
-        # one kernel evaluation per sample: the gate's is the t = 0 record
-        assert counts == {"__init__": 1, "spectra": 1, "diagnostics": len(diags)}
+        for scenario, chi_mode, transforms in cases:
+            counts.update(dict.fromkeys(counts, 0))
+            _, diags, _ = run(g, scenario, 4 * cfl_bound(g), output_every=2, chi_mode=chi_mode)
+            # one kernel evaluation per sample: the gate's is the t = 0 record
+            assert counts == {"__init__": 1, "spectra": transforms, "diagnostics": len(diags)}
 
     def test_builder_grids_are_freed_before_the_transform(self, monkeypatch):
         # The spectra chi_gaussian inverts into its fields (Re chi, its d/dt
-        # and the three components of E) must be gone when the initial state
-        # is transformed, so they do not add to the start-up peak.
+        # and the three components of E) must be gone by the first jump: the
+        # run starts from the pair the builder writes, with no transform, and
+        # the five must not add to the run's peak.
         refs, alive = [], []
-        inv, spectra = SpectralSpace.inv_in_place, chi_solver._Propagator.spectra
+        inv, jump = SpectralSpace.inv_in_place, chi_solver._Propagator.jump
 
         def keeping(space, fh, out=None):
             refs.append(weakref.ref(fh))
             return inv(space, fh, out)
 
-        def checking(prop, state):
+        def checking(prop, spectra, factors):
             alive.append([ref() is not None for ref in refs])
-            return spectra(prop, state)
+            return jump(prop, spectra, factors)
 
         monkeypatch.setattr(SpectralSpace, "inv_in_place", keeping)
-        monkeypatch.setattr(chi_solver._Propagator, "spectra", checking)
+        monkeypatch.setattr(chi_solver._Propagator, "jump", checking)
         g = Grid(16, TWO_PI, dims=3)
         run(g, gaussian_scenario(TWO_PI / 8), 2 * cfl_bound(g))
         assert alive == [[False] * 5]
+
+
+def planewave_scenario(modes, amplitude=1.0):
+    return {"type": "chi_planewave", "params": {"k": modes, "amplitude": amplitude}}
+
+
+class TestClosedFormSpectra:
+    """A closed-form builder writes the pair that `_Propagator.spectra`
+    would make from its fields: a wrong bin, sign or conjugate is an O(1)
+    error, roundoff is ~1e-15."""
+
+    @staticmethod
+    def assert_matches_the_transform(g, scenario):
+        state, prop, spectra, _ = chi_solver._start(g, scenario, "real")
+        want = prop.spectra(state)
+        assert np.max(np.abs(spectra - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, dims, modes", [
+        (16, 1, [3]), (16, 1, [-3]), (16, 1, [7]), (64, 1, [5]), (64, 1, [-31]),
+        (16, 3, [1, 2, 3]), (16, 3, [1, -2, 0]), (16, 3, [-1, 0, 0]), (16, 3, [-1, 2, -3]),
+        (16, 3, [0, 0, 1]), (16, 3, [0, 0, -1]), (16, 3, [7, -7, 7]),
+    ], ids=str)
+    def test_plane_waves_match_the_transform(self, n, dims, modes):
+        # kz > 0, kz = 0 (both of its bins on the half-grid) and kz < 0; +-z
+        # on the axis, where the triad at -m is not the mirror of that at m;
+        # and the top mode, for both helicities and chi
+        g = Grid(n, TWO_PI, dims=dims)
+        for scenario in (vacuum_scenario(modes, 1, 0.7), vacuum_scenario(modes, -1, 0.7),
+                         planewave_scenario(modes, 1.3)):
+            self.assert_matches_the_transform(g, scenario)
+
+    def test_a_bin_off_the_half_grid_is_none(self):
+        # A negative last mode number has no bin on the rfftn half-grid, so
+        # the builders write nothing for it, rather than an empty slice
+        g3, g1 = Grid(16, TWO_PI, dims=3), Grid(16, TWO_PI, dims=1)
+        assert chi_solver._bin(g3, np.array([-1, 2, 0])) == (slice(15, 16), slice(2, 3),
+                                                              slice(0, 1))
+        assert chi_solver._bin(g3, np.array([1, 2, -1])) is None
+        assert chi_solver._bin(g1, np.array([0, 0, 7])) == (slice(7, 8),)
+        assert chi_solver._bin(g1, np.array([0, 0, -7])) is None
+
+    @pytest.mark.parametrize("n, dims", [(16, 1), (64, 1), (16, 3)])
+    def test_off_centre_gaussian_matches_the_transform(self, n, dims):
+        center = [1.0, 2.5, 4.0][:dims]
+        self.assert_matches_the_transform(Grid(n, TWO_PI, dims=dims), {
+            "type": "chi_gaussian", "params": {"width": TWO_PI / 8, "center": center}})
+
+    @pytest.mark.parametrize("scenario", [{"type": "chi_gaussian", "params": {}},
+                                          planewave_scenario([1, 2, -1])],
+                             ids=["chi_gaussian", "chi_planewave"])
+    def test_chi_scenarios_keep_b_exactly_zero(self, scenario):
+        # l = l_c = i R_t/|k| in both halves and h+- = 0: B is no roundoff
+        # but +0.0 in every kept state, and the helicity channels are zero
+        g = Grid(16, TWO_PI, dims=3)
+        _, _, snaps = run(g, scenario, 6 * cfl_bound(g), output_every=2)
+        assert len(snaps) == 4
+        assert not any(s.b.view(np.uint64).any() for s in snaps)
+        spectra = chi_solver._start(g, scenario, "real")[2]
+        assert not spectra[:, :2].view(np.uint64).any()
+        assert spectra[0, 2].tobytes() == spectra[1, 2].tobytes()
+        assert not spectra[1, 3:].view(np.uint64).any()  # Im chi and its d/dt
 
 
 class TestVacuumReduction:
